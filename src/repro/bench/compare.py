@@ -9,8 +9,13 @@ point-by-point with a noise-aware threshold
 any point regresses beyond it.  Improvements never fail the gate; they
 are listed so a PR that speeds something up can say so with numbers.
 
-Direction matters: most figures plot Gflops or speedup (higher is
-better), but a time-like ylabel flips the comparison.
+Direction matters and is per series: each
+:class:`~repro.bench.harness.Series` carries its own better-direction
+(declared by the experiment, or by default "lower" for a time-like
+ylabel and "higher" otherwise), so one figure may mix lower-is-better
+bytes with higher-is-better rates.  The current run's direction wins:
+it is what the code declares today, and it also gates baselines
+recorded before directions were serialised.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .harness import FigureResult
+from .harness import FigureResult, lower_is_better
 from .registry import (
     FIGURES,
     baseline_filename,
@@ -37,15 +42,6 @@ __all__ = [
     "compare_against_baselines",
 ]
 
-#: ylabel fragments that mean "smaller numbers are better".
-_TIME_LIKE = ("time", "seconds", "second", "latency", "overhead", "(s)")
-
-
-def lower_is_better(fig: FigureResult) -> bool:
-    label = fig.ylabel.lower()
-    return any(fragment in label for fragment in _TIME_LIKE)
-
-
 @dataclass
 class PointComparison:
     """One (series, x) point of a baseline-vs-current comparison."""
@@ -58,6 +54,8 @@ class PointComparison:
     rel_worse: float
     #: noise-aware relative threshold for this point
     threshold: float
+    #: the series' better-direction, ``"lower"`` or ``"higher"``
+    better: str = "higher"
 
     @property
     def regressed(self) -> bool:
@@ -97,7 +95,6 @@ def compare_figures(
 ) -> FigureComparison:
     """Point-by-point comparison of two figures with noise thresholds."""
 
-    sign = 1.0 if lower_is_better(baseline) else -1.0
     x_base = list(baseline.x)
     x_cur = list(current.x)
     points: list[PointComparison] = []
@@ -110,6 +107,7 @@ def compare_figures(
             continue
         spread_base = baseline.spread.get(series.label, [0.0] * len(x_base))
         spread_cur = current.spread.get(series.label, [0.0] * len(x_cur))
+        sign = 1.0 if cur.better == "lower" else -1.0
         for bi, x in enumerate(x_base):
             if x not in x_cur:
                 skipped.append(f"{series.label} @ {x}: no current point")
@@ -134,6 +132,7 @@ def compare_figures(
                         min_rel=min_rel,
                         noise_k=noise_k,
                     ),
+                    cur.better,
                 )
             )
     for series in current.series:
@@ -157,8 +156,10 @@ def render_comparison(cmp: FigureComparison) -> str:
             f"scale {prov.get('scale')}  "
             f"recorded {prov.get('timestamp_iso')}"
         )
-    direction = "lower is better" if lower_is_better(cmp.baseline) else "higher is better"
-    lines.append(f"  ({cmp.baseline.ylabel}; {direction})")
+    directions = "; ".join(
+        f"{s.label}: {s.better} is better" for s in cmp.current.series
+    )
+    lines.append(f"  ({cmp.baseline.ylabel}; {directions})")
     for p in sorted(cmp.points, key=lambda p: -p.rel_worse):
         if p.regressed:
             verdict = "REGRESSED"

@@ -1001,9 +1001,9 @@ def dist_throughput(
         "MB shipped (lower is better)",
         list(range(1, submissions + 1)),
     )
-    fig.add("MB moved", bytes_per_sub)
-    fig.add("cache hits", hits_per_sub)
-    fig.add("tasks/sec", rate_per_sub)
+    fig.add("MB moved", bytes_per_sub, better="lower")
+    fig.add("cache hits", hits_per_sub, better="higher")
+    fig.add("tasks/sec", rate_per_sub, better="higher")
     fig.extras["cpu_count"] = _os.cpu_count()
     fig.extras["nodes"] = nodes
     fig.extras["slots"] = slots

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
-__all__ = ["Series", "FigureResult"]
+__all__ = ["Series", "FigureResult", "lower_is_better"]
+
+#: ylabel fragments that mean "smaller numbers are better".
+_TIME_LIKE = ("time", "seconds", "second", "latency", "overhead", "(s)")
+
+
+def lower_is_better(fig: "FigureResult") -> bool:
+    """The default better-direction of a figure's series, by ylabel."""
+
+    label = fig.ylabel.lower()
+    return any(fragment in label for fragment in _TIME_LIKE)
 
 
 @dataclass
@@ -14,6 +24,8 @@ class Series:
 
     label: str
     values: list[float]
+    #: ``"lower"`` or ``"higher"``: which way this series improves.
+    better: str = "higher"
 
     def at(self, x_axis: Sequence, x) -> float:
         return self.values[list(x_axis).index(x)]
@@ -40,13 +52,23 @@ class FigureResult:
     #: filled by :func:`repro.bench.stats.aggregate_figures`
     spread: dict = field(default_factory=dict)
 
-    def add(self, label: str, values: Sequence[float]) -> Series:
+    def add(self, label: str, values: Sequence[float],
+            better: Optional[str] = None) -> Series:
+        """Append a series; *better* defaults to the ylabel rule."""
+
         if len(values) != len(self.x):
             raise ValueError(
                 f"series {label!r} has {len(values)} points for "
                 f"{len(self.x)} x values"
             )
-        s = Series(label, [float(v) for v in values])
+        if better is None:
+            better = "lower" if lower_is_better(self) else "higher"
+        if better not in ("lower", "higher"):
+            raise ValueError(
+                f"series {label!r}: better must be 'lower' or 'higher', "
+                f"not {better!r}"
+            )
+        s = Series(label, [float(v) for v in values], better)
         self.series.append(s)
         return s
 
@@ -137,6 +159,7 @@ class FigureResult:
             "ylabel": self.ylabel,
             "x": list(self.x),
             "series": {s.label: s.values for s in self.series},
+            "better": {s.label: s.better for s in self.series},
             "notes": list(self.notes),
         }
         if self.provenance:
@@ -159,8 +182,9 @@ class FigureResult:
             provenance=dict(doc.get("provenance", {})),
             spread={k: list(v) for k, v in doc.get("spread", {}).items()},
         )
+        better = doc.get("better", {})
         for label, values in doc.get("series", {}).items():
-            fig.add(label, values)
+            fig.add(label, values, better.get(label))
         return fig
 
     @classmethod

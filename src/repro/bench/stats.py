@@ -87,7 +87,7 @@ def aggregate_figures(figures: Sequence) -> "FigureResult":
             [fig.series[si].values[xi] for fig in figures]
             for xi in range(len(first.x))
         ]
-        agg.add(series.label, [median(col) for col in columns])
+        agg.add(series.label, [median(col) for col in columns], series.better)
         agg.spread[series.label] = [iqr(col) for col in columns]
     return agg
 

@@ -229,8 +229,6 @@ class RecordingRuntime:
             self.tracker.write_back_all()
             self.tracker.reset()
 
-    wait_all = barrier
-
     def wait_for(self, task: TaskInstance) -> None:
         self.events.append(("wait", task))
 

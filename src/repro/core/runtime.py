@@ -47,7 +47,6 @@ ways on every fine-grained completion.
 from __future__ import annotations
 
 import threading
-import warnings
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -62,30 +61,6 @@ from .task import TaskInstance, TaskState, reset_task_ids
 from .tracing import NullTracer, ThreadLocalTracer
 
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
-
-_DEPRECATED_HOMES = {
-    "RuntimeConfig": ("repro.core.config", _RuntimeConfig),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``RuntimeConfig`` moved to ``repro.core.config``.
-
-    ``from repro.core.runtime import RuntimeConfig`` keeps working but
-    warns; import it from ``repro`` / ``repro.core`` / the new module.
-    """
-
-    if name in _DEPRECATED_HOMES:
-        home, obj = _DEPRECATED_HOMES[name]
-        warnings.warn(
-            f"importing {name} from repro.core.runtime is deprecated; "
-            f"use {home}.{name} (also re-exported from repro and "
-            f"repro.core)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TaskExecutionError(RuntimeError):
@@ -457,8 +432,6 @@ class SmpssRuntime:
             self.tracer.barrier_exit()
         if self._metrics_on:
             self._sync_metrics()
-
-    wait_all = barrier
 
     def wait_for(self, task: TaskInstance) -> None:
         """Block (helping) until one specific task instance finishes."""

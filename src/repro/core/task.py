@@ -156,6 +156,12 @@ class TaskDefinition:
         self.directions_by_name: dict[str, set[Direction]] = {}
         for p in self.params:
             self.directions_by_name.setdefault(p.name, set()).add(p.direction)
+        #: positions of ``opaque`` parameters, which the tracker skips
+        #: (the transfer codec's opaque rule checks them per call).
+        self.opaque_positions: frozenset = frozenset(
+            self.positions[p.name] for p in self.params
+            if p.direction is Direction.OPAQUE and p.name in self.positions
+        )
         #: Precompiled invocation plan, attached lazily by
         #: :func:`repro.core.invocation.plan_for` (kept off this module
         #: to avoid a task -> invocation import cycle).

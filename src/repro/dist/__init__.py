@@ -12,13 +12,9 @@ the node holding the most of its input bytes.  See
 failure semantics.
 """
 
+from ..core.transfer import RemoteTaskError, TransferError
 from .agent import AgentServer
-from .encoding import (
-    AgentLostError,
-    DistDataLossError,
-    DistSerializationError,
-    RemoteTaskError,
-)
+from .encoding import AgentLostError, DistDataLossError
 from .manager import ClusterBackend
 from .residency import ResidencyEntry, ResidencyMap
 
@@ -27,8 +23,8 @@ __all__ = [
     "AgentServer",
     "ClusterBackend",
     "DistDataLossError",
-    "DistSerializationError",
     "RemoteTaskError",
     "ResidencyEntry",
     "ResidencyMap",
+    "TransferError",
 ]

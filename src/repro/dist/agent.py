@@ -43,18 +43,20 @@ from typing import Any, Optional
 import numpy as np
 
 from ..core.tracing import EventKind, TraceEvent
-from ..net.client import NetClosed, NetTimeout
-from ..net.frames import recv_frame, send_frame
-from ..net.protocol import format_address, parse_address
-from .encoding import (
+from ..core.transfer import (
     PROTOCOL,
     alloc_from_meta,
     decode_blob,
     encode_blob,
     format_remote_error,
-    resolve_definition_func,
+    land,
+    resolve_definition,
     slices_from_spec,
 )
+from ..mp.encoding import apply_writebacks
+from ..net.client import NetClosed, NetTimeout
+from ..net.frames import recv_frame, send_frame
+from ..net.protocol import format_address, parse_address
 
 __all__ = ["AgentServer"]
 
@@ -464,9 +466,9 @@ class AgentServer:
                         f"agent has no cached definition for key {def_key!r} "
                         f"and the master sent no payload"
                     )
-                func = self._funcs[cache_key] = resolve_definition_func(
+                func = self._funcs[cache_key] = resolve_definition(
                     def_payload
-                )
+                ).func
             return func
 
     def _resolve_values(self, specs: list) -> list:
@@ -490,9 +492,8 @@ class AgentServer:
                 _tag, meta, parts = spec
                 obj = alloc_from_meta(meta)
                 for sl_spec, part_meta, part_payload in parts:
-                    obj[slices_from_spec(sl_spec)] = decode_blob(
-                        part_meta, part_payload
-                    )
+                    land(obj, decode_blob(part_meta, part_payload),
+                         slices_from_spec(sl_spec))
                 values.append(obj)
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown value spec tag {tag!r}")
@@ -513,11 +514,7 @@ class AgentServer:
                 # mp-fleet mode: the worker records its own start/end
                 # events; relay, then land the written values back into
                 # the agent-local objects (store copies / allocations).
-                wb_specs = [
-                    (pos, None if sl is None else slices_from_spec(sl))
-                    for pos, sl in msg.get("writes", ())
-                ]
-                func = None
+                wb_specs = msg.get("writes", [])
                 try:
                     err, wb_values, duration, wevents = worker.run(
                         msg["def_key"], msg.get("def_payload"), task_id,
@@ -532,8 +529,6 @@ class AgentServer:
                 if trace and wevents:
                     events.extend(wevents)
                 if err is None and wb_values:
-                    from ..mp.encoding import apply_writebacks
-
                     apply_writebacks(wb_specs, wb_values, values)
             else:
                 func = self._resolve_func(sid, msg["def_key"],
@@ -557,10 +552,8 @@ class AgentServer:
                 for pos, sl_spec in msg.get("ret", ()):
                     obj = values[pos]
                     if sl_spec is not None:
-                        part = obj[slices_from_spec(sl_spec)]
-                        meta, payload = encode_blob(part)
-                    else:
-                        meta, payload = encode_blob(obj)
+                        obj = obj[slices_from_spec(sl_spec)]
+                    meta, payload = encode_blob(obj)
                     ret_out.append((pos, sl_spec, meta, payload))
                 self.tasks_run += 1
         except BaseException as exc:  # noqa: BLE001 - shipped to master

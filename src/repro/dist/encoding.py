@@ -28,9 +28,12 @@ as a tiny reference, not as bytes.  Five value-spec forms:
     of one array may be written concurrently on different nodes, so no
     single node ever holds "the" current array).
 
-Keys are ``"{sid}:{serial}"`` strings — the session id namespaces
-multiple masters sharing one agent, and the serial pins the entry even
-if Python reuses the object id master-side.
+Which positions are read, written or region-mode, the blob codec and
+how returned content lands are the shared transfer codec
+(:mod:`repro.core.transfer`); the residency decision is this backend's
+own.  Keys are ``"{sid}:{serial}"`` strings — the session id
+namespaces multiple masters sharing one agent, and the serial pins the
+entry even if Python reuses the object id master-side.
 
 Everything crosses as pickles between trusted processes, the same
 security model as :mod:`repro.mp`'s pipes — never expose an agent port
@@ -39,47 +42,19 @@ to an untrusted network (see ``docs/distributed.md``).
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from typing import Any, Optional
 
 import numpy as np
 
-from ..mp.encoding import (  # noqa: F401  (re-exported for dist users)
-    PROTOCOL,
-    RemoteTaskError,
-    definition_key,
-    definition_payload,
-    format_remote_error,
-    resolve_definition_func,
-)
+from ..core.transfer import decode_blob, land
 
 __all__ = [
     "AgentLostError",
     "DistDataLossError",
-    "DistSerializationError",
-    "RemoteTaskError",
-    "alloc_from_meta",
-    "alloc_meta",
     "apply_blob",
     "content_checksum",
-    "decode_blob",
-    "encode_blob",
-    "slices_from_spec",
-    "slices_spec",
 ]
-
-#: Types that may ship inline through an OPAQUE parameter.  Anything
-#: richer (an ndarray, a HyperMatrix) would be pickled into a *copy*
-#: on the agent, and writes through it silently lost — the same
-#: failure mode the mp backend's arena rule guards against.
-SCALAR_TYPES = (
-    int, float, complex, bool, str, bytes, type(None), tuple, frozenset,
-)
-
-
-class DistSerializationError(TypeError):
-    """A task's arguments cannot cross to a node agent safely."""
 
 
 class AgentLostError(RuntimeError):
@@ -95,96 +70,12 @@ class DistDataLossError(RuntimeError):
     """
 
 
-# ---------------------------------------------------------------------------
-# blobs
-# ---------------------------------------------------------------------------
-
-def encode_blob(obj: Any) -> tuple[dict, bytes]:
-    """``(meta, payload)`` for one value's content.
-
-    ndarrays ship as raw C-contiguous bytes plus dtype/shape (no pickle
-    framing around the bulk data); everything else pickles.  Structured
-    and object dtypes take the pickle path — ``dtype.str`` cannot
-    round-trip them.
-    """
-
-    if isinstance(obj, np.ndarray) and obj.dtype.names is None \
-            and not obj.dtype.hasobject:
-        arr = np.ascontiguousarray(obj)
-        meta = {"t": "nd", "dtype": arr.dtype.str, "shape": list(arr.shape)}
-        return meta, arr.tobytes()
-    return {"t": "pkl"}, pickle.dumps(obj, protocol=PROTOCOL)
-
-
-def decode_blob(meta: dict, payload: bytes) -> Any:
-    """Inverse of :func:`encode_blob`; ndarrays come back writable."""
-
-    if meta["t"] == "nd":
-        arr = np.frombuffer(payload, dtype=np.dtype(meta["dtype"]))
-        return arr.reshape(tuple(meta["shape"])).copy()
-    return pickle.loads(payload)
-
-
 def apply_blob(target: Any, meta: dict, payload: bytes,
                slices: Optional[tuple] = None) -> None:
-    """Land returned content in *target* (optionally a region of it)."""
+    """Land returned blob content in *target* (optionally a region)."""
 
-    value = decode_blob(meta, payload)
-    if slices is not None:
-        target[slices] = value
-    elif isinstance(target, np.ndarray):
-        target[...] = value
-    else:  # list / bytearray
-        target[:] = value
+    land(target, decode_blob(meta, payload), slices)
 
-
-def alloc_meta(obj: Any) -> dict:
-    """How an agent allocates storage shaped like *obj* locally."""
-
-    if isinstance(obj, np.ndarray):
-        return {"t": "nd", "dtype": obj.dtype.str, "shape": list(obj.shape)}
-    if isinstance(obj, list):
-        return {"t": "list", "n": len(obj)}
-    if isinstance(obj, bytearray):
-        return {"t": "ba", "n": len(obj)}
-    raise DistSerializationError(
-        f"cannot describe a fresh {type(obj).__name__} for remote "
-        f"allocation"
-    )
-
-
-def alloc_from_meta(meta: dict) -> Any:
-    """Agent-side inverse of :func:`alloc_meta`.
-
-    ndarrays allocate zeroed — deterministic across nodes, and the
-    declared-region write-back discipline means uninitialised bytes
-    are never shipped home anyway.
-    """
-
-    if meta["t"] == "nd":
-        return np.zeros(tuple(meta["shape"]), dtype=np.dtype(meta["dtype"]))
-    if meta["t"] == "list":
-        return [None] * meta["n"]
-    return bytearray(meta["n"])
-
-
-# ---------------------------------------------------------------------------
-# region slices
-# ---------------------------------------------------------------------------
-
-def slices_spec(slices: tuple) -> tuple:
-    """JSON/pickle-stable form of a tuple of :class:`slice` objects."""
-
-    return tuple((s.start, s.stop, s.step) for s in slices)
-
-
-def slices_from_spec(spec) -> tuple:
-    return tuple(slice(a, b, c) for a, b, c in spec)
-
-
-# ---------------------------------------------------------------------------
-# content checksums (survivor-cache verification)
-# ---------------------------------------------------------------------------
 
 def content_checksum(obj: Any) -> Optional[int]:
     """Cheap adler32 over a value's current content.

@@ -42,24 +42,21 @@ import numpy as np
 
 from ..core.invocation import resolve_call_values
 from ..core.renaming import StorageKind
+from ..core.transfer import (
+    PROTOCOL,
+    WRITABLE_TYPES,
+    RemoteTaskError,
+    TransferError,
+    alloc_meta,
+    definition_ref,
+    direction_walk,
+    encode_blob,
+    slices_from_spec,
+)
 from ..net.client import NetClosed, NetTimeout
 from ..net.frames import FrameError, recv_frame, send_frame
 from ..net.protocol import connect, connect_retry
-from .encoding import (
-    PROTOCOL,
-    AgentLostError,
-    DistDataLossError,
-    DistSerializationError,
-    RemoteTaskError,
-    SCALAR_TYPES,
-    apply_blob,
-    alloc_meta,
-    definition_key,
-    definition_payload,
-    encode_blob,
-    slices_from_spec,
-    slices_spec,
-)
+from .encoding import AgentLostError, DistDataLossError, apply_blob
 from .residency import ResidencyMap
 
 __all__ = ["ClusterBackend"]
@@ -68,8 +65,6 @@ __all__ = ["ClusterBackend"]
 #: array; dispatch channels have NO timeout — tasks take as long as
 #: they take, and death is detected by the socket dying, not a clock).
 _CONTROL_TIMEOUT = 120.0
-
-_SHIPPABLE = (np.ndarray, list, bytearray)
 
 
 class _Node:
@@ -257,8 +252,8 @@ class ClusterBackend:
 
         Same contract as :meth:`ProcessBackend.run`: expected failures
         come back as ``cause`` — :class:`RemoteTaskError` (the body
-        raised), :class:`DistSerializationError` (arguments cannot
-        cross), :class:`DistDataLossError` (an input's only copy died
+        raised), :class:`TransferError` (arguments cannot cross),
+        :class:`DistDataLossError` (an input's only copy died
         with an agent), :class:`AgentLostError` (two agent deaths on
         one task, or no agents left).
         """
@@ -279,22 +274,16 @@ class ClusterBackend:
                 node = link.node
             try:
                 msg, commits = self._encode_task(task, values, node)
-            except (DistSerializationError, DistDataLossError) as exc:
+            except (TransferError, DistDataLossError) as exc:
                 return exc, 0.0
-            key = definition_key(task.definition)
+            key = id(task.definition)
             if key in link.sent_defs:
                 def_payload = None
             else:
                 try:
-                    def_payload = definition_payload(task.definition)
-                except Exception as exc:
-                    return (
-                        DistSerializationError(
-                            f"task {task.name!r}: definition cannot cross "
-                            f"to an agent ({exc})"
-                        ),
-                        0.0,
-                    )
+                    def_payload = definition_ref(task.definition)
+                except TransferError as exc:
+                    return exc, 0.0
             msg["def_key"] = key
             msg["def_payload"] = def_payload
             msg["task_id"] = task.task_id
@@ -303,9 +292,9 @@ class ClusterBackend:
                 blob = pickle.dumps(msg, protocol=PROTOCOL)
             except Exception as exc:
                 return (
-                    DistSerializationError(
+                    TransferError(
                         f"task {task.name!r}: arguments are not picklable "
-                        f"({exc!r}); use ndarray/list/bytearray data or "
+                        f"({exc!r}); use ndarray/list/bytearray/dict data or "
                         f"backend='threads'"
                     ),
                     0.0,
@@ -371,106 +360,42 @@ class ClusterBackend:
         residency bookkeeping to apply once the agent reports success.
         """
 
+        walk = direction_walk(task, values)
         residency = self._residency
-        positions = task.definition.positions
         write_through = self._write_through
-        n = len(values)
-        specs: list = [None] * n
+        specs: list = [None] * len(values)
         ret: list = []
         writes_specs: list = []
         out: list = []
         commits: list = []
 
-        region_positions: set[int] = set()
-        whole_writes: dict[int, Any] = {}
-        read_positions: set[int] = set()
-        for name, version in task.writes:
-            pos = positions[name]
-            if version.datum.region_mode:
-                region_positions.add(pos)
-            else:
-                whole_writes[pos] = version
-        whole_reads: dict[int, Any] = {}
-        for name, version in task.reads:
-            pos = positions[name]
-            read_positions.add(pos)
-            if version.datum.region_mode:
-                region_positions.add(pos)
-            else:
-                whole_reads.setdefault(pos, version)
-
         # -- region-mode positions: ship declared read slices, return
         #    declared write slices; never cached (disjoint regions of
         #    one array may be written concurrently on different nodes,
         #    so no node ever holds "the" current array).
-        if region_positions:
-            reads_by_pos: dict[int, list] = {}
-            writes_by_pos: dict[int, list] = {}
-            for access in task.accesses:
-                pos = access.position
-                if pos < 0:
-                    pos = positions[access.name]
-                if pos not in region_positions:
-                    continue
-                value = values[pos]
-                if not isinstance(value, np.ndarray):
-                    raise DistSerializationError(
-                        f"task {task.name!r}: region-mode parameter "
-                        f"{access.name!r} has type {type(value).__name__}; "
-                        f"the cluster backend ships regions of ndarrays "
-                        f"only (use backend='threads')"
-                    )
-                if access.region is not None:
-                    slices = access.region.to_slices()
-                else:
-                    slices = (slice(None),) * value.ndim
-                sl = slices_spec(slices)
-                if access.direction.reads:
-                    bucket = reads_by_pos.setdefault(pos, [])
-                    if sl not in bucket:
-                        bucket.append(sl)
-                if access.direction.writes:
-                    bucket = writes_by_pos.setdefault(pos, [])
-                    if sl not in bucket:
-                        bucket.append(sl)
-            for pos in sorted(region_positions):
-                value = values[pos]
-                parts = []
-                for sl in reads_by_pos.get(pos, ()):
-                    chunk = value[slices_from_spec(sl)]
-                    meta, payload = encode_blob(chunk)
-                    parts.append((sl, meta, payload))
-                    self._m_bytes.inc(len(payload))
-                specs[pos] = ("g", alloc_meta(value), parts)
-                for sl in writes_by_pos.get(pos, ()):
-                    ret.append((pos, sl))
-                    writes_specs.append((pos, sl))
+        for pos, (read_specs, write_specs) in walk.regions.items():
+            value = values[pos]
+            parts = []
+            for sl in read_specs:
+                meta, payload = encode_blob(value[slices_from_spec(sl)])
+                parts.append((sl, meta, payload))
+                self._m_bytes.inc(len(payload))
+            specs[pos] = ("g", alloc_meta(value), parts)
+            for sl in write_specs:
+                ret.append((pos, sl))
+                writes_specs.append((pos, sl))
 
-        # -- whole-object tracked writes: residency-versioned.
-        for pos, version in whole_writes.items():
-            if specs[pos] is not None:
-                continue
+        # -- whole-object tracked writes: residency-versioned.  Content
+        #    ships only when the body also reads it; a pure overwrite
+        #    (renamed OUTPUT included) needs the shape alone.
+        for pos, version in walk.writes.items():
             storage = values[pos]
-            if not isinstance(storage, _SHIPPABLE):
-                raise DistSerializationError(
-                    f"task {task.name!r}: written parameter "
-                    f"{task.definition.param_names[pos]!r} has type "
-                    f"{type(storage).__name__}, which the cluster backend "
-                    f"cannot ship; use an ndarray/list/bytearray or "
-                    f"backend='threads'"
-                )
             entry = residency.ensure(storage, version.storage_is_base())
             residency.verify(entry)
-            reads_back = pos in read_positions
-            if not reads_back and entry.version == 0 \
-                    and version.root.kind is StorageKind.FRESH:
-                # Renamed OUTPUT: content is junk, ship the shape only.
-                specs[pos] = ("f", entry.key, alloc_meta(storage))
-            elif not reads_back:
-                # Overwritten in place: old content equally dead.
-                specs[pos] = ("f", entry.key, alloc_meta(storage))
-            else:
+            if pos in walk.reads:
                 specs[pos] = self._content_spec(entry, node)
+            else:
+                specs[pos] = ("f", entry.key, alloc_meta(storage))
             v_after = entry.version + 1
             out.append((pos, entry.key, v_after))
             writes_specs.append((pos, None))
@@ -479,32 +404,21 @@ class ClusterBackend:
             commits.append((entry, v_after, write_through))
 
         # -- whole-object tracked reads (positions not written).
-        for pos, version in whole_reads.items():
+        for pos, version in walk.reads.items():
             if specs[pos] is not None:
                 continue
             storage = values[pos]
-            if not isinstance(storage, _SHIPPABLE):
+            if not isinstance(storage, WRITABLE_TYPES):
                 specs[pos] = ("s", storage)  # read-only copy is safe
                 continue
             entry = residency.ensure(storage, version.storage_is_base())
             residency.verify(entry)
             specs[pos] = self._content_spec(entry, node)
 
-        # -- everything else ships inline.
-        opaque = self._opaque_positions(task)
-        for pos in range(n):
-            if specs[pos] is not None:
-                continue
-            value = values[pos]
-            if pos in opaque and not isinstance(value, SCALAR_TYPES):
-                raise DistSerializationError(
-                    f"task {task.name!r}: opaque parameter "
-                    f"{task.definition.param_names[pos]!r} has type "
-                    f"{type(value).__name__}; agent-side writes to a "
-                    f"pickled copy would be lost silently — declare a "
-                    f"direction for it or use backend='threads'"
-                )
-            specs[pos] = ("s", value)
+        # -- everything else (scalars, opaque scalars) ships inline.
+        for pos, spec in enumerate(specs):
+            if spec is None:
+                specs[pos] = ("s", values[pos])
 
         msg = {"values": specs, "writes": writes_specs, "ret": ret,
                "out": out}
@@ -528,17 +442,6 @@ class ClusterBackend:
         self._m_bytes.inc(len(payload))
         self._residency.record_copy(entry, node.name)
         return ("d", entry.key, entry.version, meta, payload)
-
-    @staticmethod
-    def _opaque_positions(task) -> frozenset:
-        from ..core.task import Direction
-
-        positions = task.definition.positions
-        return frozenset(
-            positions[spec.name]
-            for spec in task.definition.params
-            if spec.direction is Direction.OPAQUE and spec.name in positions
-        )
 
     # ------------------------------------------------------------------
     # residency plumbing (fetch home, barrier, death)

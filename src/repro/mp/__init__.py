@@ -16,10 +16,11 @@ Public surface (also re-exported from :mod:`repro`):
 * :class:`ArenaHandle` — the stable block reference that travels over
   the pipe;
 * the error types a process-backed run can surface:
-  :class:`MpSerializationError`, :class:`RemoteTaskError`,
-  :class:`WorkerLostError`.
+  :class:`~repro.core.transfer.TransferError`,
+  :class:`RemoteTaskError`, :class:`WorkerLostError`.
 """
 
+from ..core.transfer import RemoteTaskError, TransferError
 from .arena import (
     ArenaHandle,
     SharedArena,
@@ -29,15 +30,15 @@ from .arena import (
     handle_of,
     leaked_segment_files,
 )
-from .encoding import MpSerializationError, RemoteTaskError, WorkerLostError
+from .encoding import WorkerLostError
 from .executor import ProcessBackend
 
 __all__ = [
     "ArenaHandle",
-    "MpSerializationError",
     "ProcessBackend",
     "RemoteTaskError",
     "SharedArena",
+    "TransferError",
     "WorkerLostError",
     "arena_array",
     "attach_handle",

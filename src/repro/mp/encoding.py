@@ -1,158 +1,61 @@
 """Wire format between the master and worker processes.
 
-A task crosses the pipe as ``(definition key, definition payload,
-encoded call values, write-back specs)``:
+A task crosses the pipe as ``(definition key, definition ref, encoded
+call values, write-back specs)``:
 
 * the **definition key** is stable per :class:`TaskDefinition`; each
-  worker caches resolved definitions so the payload (how to find the
-  task function) is sent once per worker, not once per task;
+  worker caches resolved definitions so the ref (where to import the
+  task from) is sent once per worker, not once per task;
 * each **call value** ships either as an :class:`~repro.mp.arena.ArenaHandle`
   (when the resolved value is an ndarray living in a shared-memory
   arena — zero copy, and worker writes land directly in master memory)
-  or by pickle (scalars, small objects, non-arena arrays);
+  or by pickle;
 * the **write-back specs** say which pickled values the worker must
-  send back because the master's dependency semantics treat them as
-  written — whole renamed buffers, lists/bytearrays, or the declared
-  region slice of a region-mode access.  Arena-backed values never
-  need write-back.
+  send back, read off the task's directions by the shared
+  :func:`~repro.core.transfer.direction_walk`.  Arena-backed values
+  never need write-back.
 
-Everything here runs master-side except :func:`decode_values` /
-:func:`collect_writebacks`, which the worker calls; keeping both ends
-of the format in one module keeps them from drifting apart.
+The only question this module answers itself is the process backend's
+own: is the value arena-backed?  Everything else — the direction walk,
+the opaque rule, landing returned content — is
+:mod:`repro.core.transfer`.  :func:`decode_values` and
+:func:`collect_writebacks` run worker-side; keeping both ends of the
+format in one module keeps them from drifting apart.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
-from ..core.task import Direction, TaskInstance
+from ..core.task import TaskInstance
+from ..core.transfer import direction_walk, land, slices_from_spec
 from .arena import attach_handle, handle_of
 
 __all__ = [
-    "MpSerializationError",
     "WorkerLostError",
-    "RemoteTaskError",
-    "definition_key",
-    "definition_payload",
-    "resolve_definition_func",
+    "is_resident",
     "encode_values",
     "decode_values",
     "writeback_specs",
     "collect_writebacks",
     "apply_writebacks",
-    "format_remote_error",
 ]
-
-PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Value tags on the wire.
 _ARENA = "a"
 _PICKLE = "v"
 
 
-class MpSerializationError(TypeError):
-    """A task's arguments cannot cross the process boundary safely."""
-
-
 class WorkerLostError(RuntimeError):
     """A worker process died and the task could not be recovered."""
 
 
-class RemoteTaskError(RuntimeError):
-    """A task body raised inside a worker process.
+def is_resident(value: Any) -> bool:
+    """Is *value* arena-backed, so workers see the master's storage?"""
 
-    Carries the remote exception's type name, message, and formatted
-    traceback (the original object may not be picklable, so it never
-    crosses the pipe).
-    """
-
-    def __init__(self, exc_type: str, message: str, remote_traceback: str):
-        super().__init__(f"{exc_type}: {message}")
-        self.exc_type = exc_type
-        self.remote_traceback = remote_traceback
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.remote_traceback:
-            return f"{base}\n--- remote traceback ---\n{self.remote_traceback}"
-        return base
-
-
-def format_remote_error(exc: BaseException) -> tuple:
-    import traceback
-
-    return (
-        type(exc).__name__,
-        str(exc),
-        "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# task definitions
-# ---------------------------------------------------------------------------
-
-def definition_key(definition) -> int:
-    """Stable per-definition cache key (valid for the master's lifetime)."""
-
-    return id(definition)
-
-
-def definition_payload(definition) -> tuple:
-    """How a worker locates the task function.
-
-    Preferred form is ``("n", module, qualname)``: the worker imports
-    the module and walks the qualname.  The attribute it finds is
-    usually the ``@css_task`` wrapper, whose ``.sequential`` is the
-    plain function — exactly what the worker must call (with no runtime
-    on the worker's stack, calling the wrapper would also work, but
-    resolving to the raw function keeps nested task calls trivially
-    inline).  Functions that are not reachable by name (closures,
-    ``<locals>``) fall back to pickling the function object itself;
-    when neither works the task cannot run on the process backend.
-    """
-
-    func = definition.func
-    module = getattr(func, "__module__", None)
-    qualname = getattr(func, "__qualname__", None)
-    if module and qualname and "<locals>" not in qualname:
-        return ("n", module, qualname)
-    try:
-        return ("p", pickle.dumps(func, protocol=PROTOCOL))
-    except Exception as exc:
-        raise MpSerializationError(
-            f"task {definition.name!r}: function is not reachable by "
-            f"module/qualname and not picklable ({exc!r}); the process "
-            f"backend cannot ship it — define the task at module level "
-            f"or use backend='threads'"
-        ) from exc
-
-
-def resolve_definition_func(payload: tuple):
-    """Worker-side inverse of :func:`definition_payload`."""
-
-    if payload[0] == "p":
-        return pickle.loads(payload[1])
-    _tag, module_name, qualname = payload
-    import importlib
-
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    sequential = getattr(obj, "sequential", None)
-    if sequential is not None and callable(sequential):
-        return sequential
-    wrapped = getattr(obj, "__wrapped__", None)
-    if wrapped is not None and callable(wrapped):
-        return wrapped
-    if callable(obj):
-        return obj
-    raise MpSerializationError(
-        f"{module_name}.{qualname} resolved to a non-callable {obj!r}"
-    )
+    return handle_of(value) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +66,17 @@ def encode_values(task: TaskInstance, values: list) -> list:
     """Encode resolved call *values* for the wire.
 
     Arena-backed ndarrays (and any non-negative-stride view into one)
-    become handles; everything else is embedded for pickling.  Opaque
-    ndarray parameters are *required* to be arena-backed: the tracker
-    ignores them, so a worker writing into a pickled copy (the paper's
-    ``put_block``-through-``void*`` idiom) would be silently lost —
-    exactly the failure mode this check turns into an error.
+    become handles; everything else is embedded for pickling.
     """
 
     encoded: list = []
-    opaque_positions = _opaque_positions(task)
-    for pos, value in enumerate(values):
+    for value in values:
         handle = handle_of(value)
         if handle is not None:
             encoded.append((_ARENA, handle))
-            continue
-        if pos in opaque_positions and isinstance(value, np.ndarray):
-            raise MpSerializationError(
-                f"task {task.name!r}: opaque ndarray parameter "
-                f"{task.definition.param_names[pos]!r} is not arena-backed; "
-                f"worker writes to a pickled copy would be lost silently. "
-                f"Allocate it with repro.arena_array(...) or run with "
-                f"backend='threads'."
-            )
-        encoded.append((_PICKLE, value))
+        else:
+            encoded.append((_PICKLE, value))
     return encoded
-
-
-def _opaque_positions(task: TaskInstance) -> frozenset:
-    positions = task.definition.positions
-    return frozenset(
-        positions[spec.name]
-        for spec in task.definition.params
-        if spec.direction is Direction.OPAQUE and spec.name in positions
-    )
 
 
 def decode_values(encoded: list, segment_cache: dict) -> list:
@@ -212,48 +93,23 @@ def decode_values(encoded: list, segment_cache: dict) -> list:
 # ---------------------------------------------------------------------------
 
 def writeback_specs(task: TaskInstance, values: list) -> list:
-    """Which positions the worker must return, as ``(pos, slices)``.
+    """Which positions the worker must return, as ``(pos, spec)``.
 
-    ``slices`` is ``None`` for whole-object write-back and a tuple of
-    :class:`slice` objects for region-mode accesses (two workers
-    writing disjoint regions of one array must each copy back only
-    their own region, or the later copy would clobber the earlier one).
-    Arena-backed values are skipped — worker writes already landed in
-    shared memory.
+    ``spec`` is ``None`` for whole-object write-back and a
+    :func:`~repro.core.transfer.slices_spec` tuple for each declared
+    region a region-mode access writes.  Arena-backed values are
+    skipped — worker writes already landed in shared memory.  Raises
+    :class:`~repro.core.transfer.TransferError` (the opaque rule, or a
+    written value that cannot land back) before anything ships.
     """
 
-    specs: list = []
-    seen: set = set()
-    for access in task.accesses:
-        if not access.direction.writes:
-            continue
-        pos = access.position
-        if pos < 0:
-            pos = task.definition.positions[access.name]
-        value = values[pos]
-        if handle_of(value) is not None:
-            continue
-        slices: Optional[tuple] = None
-        if access.region is not None:
-            slices = access.region.to_slices()
-        dedup = (pos, None if slices is None else tuple(
-            (s.start, s.stop, s.step) for s in slices
-        ))
-        if dedup in seen:
-            continue
-        seen.add(dedup)
-        if isinstance(value, np.ndarray):
-            specs.append((pos, slices))
-        elif isinstance(value, (list, bytearray)) and slices is None:
-            specs.append((pos, None))
-        else:
-            raise MpSerializationError(
-                f"task {task.name!r}: written parameter "
-                f"{access.name!r} has type {type(value).__name__}, which "
-                f"the process backend cannot copy back from a worker; "
-                f"use an ndarray/list/bytearray, an arena-backed array, "
-                f"or backend='threads'"
-            )
+    walk = direction_walk(task, values, resident=is_resident)
+    specs = [
+        (pos, None) for pos in walk.writes if not is_resident(values[pos])
+    ]
+    for pos, (_read_specs, write_specs) in walk.regions.items():
+        if write_specs and not is_resident(values[pos]):
+            specs.extend((pos, spec) for spec in write_specs)
     return specs
 
 
@@ -261,10 +117,10 @@ def collect_writebacks(specs: list, values: list) -> list:
     """Worker-side: the values (or region slices) to send home."""
 
     out: list = []
-    for pos, slices in specs:
+    for pos, spec in specs:
         value = values[pos]
-        if slices is not None:
-            out.append(np.ascontiguousarray(value[slices]))
+        if spec is not None:
+            out.append(np.ascontiguousarray(value[slices_from_spec(spec)]))
         else:
             out.append(value)
     return out
@@ -278,11 +134,6 @@ def apply_writebacks(specs: list, payloads: list, values: list) -> None:
     exactly as if the task had executed locally.
     """
 
-    for (pos, slices), payload in zip(specs, payloads):
-        target = values[pos]
-        if slices is not None:
-            target[slices] = payload
-        elif isinstance(target, np.ndarray):
-            target[...] = payload
-        else:  # list / bytearray
-            target[:] = payload
+    for (pos, spec), payload in zip(specs, payloads):
+        land(values[pos], payload,
+             None if spec is None else slices_from_spec(spec))

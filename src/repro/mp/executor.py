@@ -33,14 +33,15 @@ from multiprocessing import connection as _mpc
 from typing import Optional
 
 from ..core.invocation import resolve_call_values
-from .encoding import (
+from ..core.transfer import (
     PROTOCOL,
-    MpSerializationError,
     RemoteTaskError,
+    TransferError,
+    definition_ref,
+)
+from .encoding import (
     WorkerLostError,
     apply_writebacks,
-    definition_key,
-    definition_payload,
     encode_values,
     writeback_specs,
 )
@@ -209,7 +210,7 @@ class ProcessBackend:
         ``cause`` is ``None`` on success, or the exception the runtime
         should wrap in a :class:`TaskExecutionError` — a
         :class:`RemoteTaskError` (the body raised), a
-        :class:`MpSerializationError` (arguments cannot ship), or a
+        :class:`TransferError` (arguments cannot ship), or a
         :class:`WorkerLostError` (two worker deaths on one task, or an
         unrevivable worker).
         """
@@ -225,16 +226,16 @@ class ProcessBackend:
         try:
             enc_values = encode_values(task, values)
             wb_specs = writeback_specs(task, values)
-        except MpSerializationError as exc:
+        except TransferError as exc:
             return exc, 0.0
-        key = definition_key(task.definition)
+        key = id(task.definition)
         attempts = 0
         while True:
             payload = None
             if key not in worker.sent_defs:
                 try:
-                    payload = definition_payload(task.definition)
-                except MpSerializationError as exc:
+                    payload = definition_ref(task.definition)
+                except TransferError as exc:
                     return exc, 0.0
             worker.seq += 1
             seq = worker.seq
@@ -244,7 +245,7 @@ class ProcessBackend:
                 data = pickle.dumps(msg, protocol=PROTOCOL)
             except Exception as exc:
                 return (
-                    MpSerializationError(
+                    TransferError(
                         f"task {task.name!r}: arguments are not picklable "
                         f"({exc!r}); pass arena-backed arrays or use "
                         f"backend='threads'"

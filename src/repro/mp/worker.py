@@ -24,13 +24,8 @@ from collections import deque
 from time import perf_counter
 
 from ..core.tracing import EventKind, TraceEvent
-from .encoding import (
-    PROTOCOL,
-    collect_writebacks,
-    decode_values,
-    format_remote_error,
-    resolve_definition_func,
-)
+from ..core.transfer import PROTOCOL, format_remote_error, resolve_definition
+from .encoding import collect_writebacks, decode_values
 
 __all__ = ["worker_main"]
 
@@ -129,9 +124,9 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
             duration = 0.0
             try:
                 if func is None:
-                    func = func_cache[def_key] = resolve_definition_func(
+                    func = func_cache[def_key] = resolve_definition(
                         def_payload
-                    )
+                    ).func
                 values = decode_values(enc_values, segment_cache)
                 if trace:
                     events.append(TraceEvent(

@@ -1,7 +1,7 @@
 """Length-prefixed binary frames for bulk data transport.
 
 The JSON-lines protocol (:mod:`repro.net.protocol`) is the right wire
-for commands and events, but array content must not be base64'd
+for commands and events, but array content must not be text-encoded
 through it.  A **frame** carries a small JSON header plus an opaque
 binary payload::
 

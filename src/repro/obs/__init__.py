@@ -45,11 +45,9 @@ from .diff import (
     GraphDiff,
     TraceDiff,
     critical_chain,
-    diff_figures,
     diff_metrics,
     diff_task_graphs,
     diff_traces,
-    render_figure_diff,
     render_graph_diff,
     render_metrics_diff,
     render_trace_diff,
@@ -105,12 +103,10 @@ __all__ = [
     "critical_chain",
     "diff_traces",
     "diff_metrics",
-    "diff_figures",
     "diff_task_graphs",
     "render_trace_diff",
     "render_graph_diff",
     "render_metrics_diff",
-    "render_figure_diff",
     "write_diff_chrome_trace",
     "write_diff_dot",
     "ExpositionServer",

@@ -118,8 +118,13 @@ def _run_diff(args) -> int:
         graph_diff = D.diff_task_graphs(docs[0], docs[1])
         print(D.render_graph_diff(graph_diff, label_a, label_b))
         return 0 if graph_diff.identical else 1
-    print(D.render_figure_diff(D.diff_figures(docs[0], docs[1]),
-                               label_a, label_b))
+    from ..bench.compare import compare_figures, render_comparison
+    from ..bench.harness import FigureResult
+
+    print(render_comparison(compare_figures(
+        f"figure diff: {label_a} -> {label_b}",
+        FigureResult.from_dict(docs[0]), FigureResult.from_dict(docs[1]),
+    )))
     return 0
 
 

@@ -15,9 +15,6 @@ module is that workflow over the artifacts the repo already produces:
   barrier time);
 * **metrics diff** (`diff_metrics`) — two ``*.metrics.json`` snapshots
   become per-series deltas (queue depths, analysis overhead, renames);
-* **figure diff** (`diff_figures`) — two saved ``FigureResult`` JSONs
-  become per-series per-point deltas, the form ``repro.bench compare``
-  gates on;
 * **task-graph diff** (`diff_task_graphs`) — a ``repro.staticgraph``
   skeleton (``python -m repro.check flow --format json``) against a
   ``repro.recording`` document (or any two of either) becomes a
@@ -53,18 +50,15 @@ __all__ = [
     "CriticalChainDiff",
     "TraceDiff",
     "MetricDelta",
-    "FigurePointDelta",
     "GraphDiff",
     "collect_task_durations",
     "critical_chain",
     "bootstrap_mean_delta",
     "diff_traces",
     "diff_metrics",
-    "diff_figures",
     "diff_task_graphs",
     "render_trace_diff",
     "render_metrics_diff",
-    "render_figure_diff",
     "render_graph_diff",
     "diff_chrome_trace",
     "write_diff_chrome_trace",
@@ -455,58 +449,6 @@ def diff_metrics(snapshot_a: dict, snapshot_b: dict) -> list[MetricDelta]:
 
 
 # ---------------------------------------------------------------------------
-# figure JSON diff
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FigurePointDelta:
-    series: str
-    x: object
-    a: float
-    b: float
-
-    @property
-    def delta(self) -> float:
-        return self.b - self.a
-
-    @property
-    def pct(self) -> float:
-        return self.delta / abs(self.a) * 100.0 if self.a else float("inf")
-
-
-def diff_figures(doc_a: dict, doc_b: dict) -> list[FigurePointDelta]:
-    """Per-series per-point deltas of two saved figure documents.
-
-    Accepts the dict form of ``FigureResult.to_json`` (or a
-    ``FigureResult`` itself); only series labels and x values present
-    in both figures are compared.
-    """
-
-    def as_doc(doc) -> dict:
-        if hasattr(doc, "to_json"):
-            return json.loads(doc.to_json())
-        return doc
-
-    doc_a, doc_b = as_doc(doc_a), as_doc(doc_b)
-    x_a, x_b = list(doc_a.get("x", [])), list(doc_b.get("x", []))
-    common_x = [x for x in x_a if x in x_b]
-    out: list[FigurePointDelta] = []
-    for label, values_a in doc_a.get("series", {}).items():
-        values_b = doc_b.get("series", {}).get(label)
-        if values_b is None:
-            continue
-        for x in common_x:
-            out.append(
-                FigurePointDelta(
-                    label, x,
-                    float(values_a[x_a.index(x)]),
-                    float(values_b[x_b.index(x)]),
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # task-graph diff (static skeleton vs recording)
 # ---------------------------------------------------------------------------
 
@@ -767,23 +709,6 @@ def render_metrics_diff(
         shown += 1
     if shown == 0:
         lines.append("  (no series changed)")
-    return "\n".join(lines)
-
-
-def render_figure_diff(
-    deltas: list[FigurePointDelta],
-    label_a: str = "A",
-    label_b: str = "B",
-) -> str:
-    lines = [f"== figure diff: {label_a} -> {label_b} =="]
-    if not deltas:
-        lines.append("  (no comparable series/points)")
-        return "\n".join(lines)
-    for d in deltas:
-        lines.append(
-            f"  {d.series:28s} @ {str(d.x):>6s}: {d.a:10.3f} -> {d.b:<10.3f}"
-            f" ({d.pct:+.1f}%)"
-        )
     return "\n".join(lines)
 
 

@@ -24,7 +24,6 @@ with no extra bookkeeping.
 from __future__ import annotations
 
 import threading
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
@@ -34,6 +33,7 @@ from typing import Callable, Optional
 from ..core.dependencies import TrackerConfig
 from ..core.invocation import plan_for, resolve_call_values
 from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
+from ..core.transfer import format_remote_error
 from ..obs.metrics import MetricsRegistry
 from . import protocol as sp
 from .errors import GraphRejected, ServeError
@@ -361,19 +361,16 @@ class ServeEngine:
     def _task_done(self, job: GraphJob, task, failure, skipped: bool) -> None:
         newly_ready: list = []
         pending = -1
-        if failure is not None:
-            job.error = job.error or {
+        if failure is not None and job.error is None:
+            exc_type, message, remote_traceback = format_remote_error(failure)
+            job.error = {
                 "code": "task_failed",
                 "message": (
                     f"task {task.definition.name!r} raised "
-                    f"{type(failure).__name__}: {failure}"
+                    f"{exc_type}: {message}"
                 ),
                 "task": task.definition.name,
-                "traceback": "".join(
-                    traceback.format_exception(
-                        type(failure), failure, failure.__traceback__
-                    )
-                ),
+                "traceback": remote_traceback,
             }
         elif not skipped:
             job.tenant.m_tasks.inc()

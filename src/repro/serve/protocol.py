@@ -9,19 +9,20 @@ A ``run`` command ships one whole graph::
      "data":  {datum_id: datum_payload, ...},
      "tasks": [{"def": [module, qualname], "args": [argspec, ...]}, ...]}
 
-and its ack returns every datum's post-barrier bytes::
+and its ack returns every datum's post-barrier content::
 
     {"results": {datum_id: datum_payload, ...},
      "tasks": N, "seconds": s}
 
-Datum payloads are exact: ndarrays ship dtype/shape plus the raw
-C-order buffer (base64), so a round trip is bitwise; container types
-(list/bytearray/dict) ship pickled.  Task *definitions* are referenced
-by module/qualname — the same registration rule as the mp backend —
-and resolved server-side to the ``@css_task`` wrapper, whose
-``.definition`` carries the full pragma (directions, regions,
-priorities) the server's dependency analysis needs.  Scalar arguments
-whose JSON rendering round-trips exactly (int/float/bool/str/None) go
+A datum payload is the shared blob codec's meta
+(:func:`~repro.core.transfer.encode_blob`) plus its payload in base64
+under ``"b64"``: plain ndarrays ship dtype/shape and the raw C-order
+buffer, so a round trip is bitwise; everything else (structured and
+object dtypes, list/bytearray/dict) ships pickled.  Results land back
+through :func:`~repro.core.transfer.land`.  Task *definitions* are
+referenced by module/qualname and resolved server-side to the full
+pragma the server's dependency analysis needs.  Scalar arguments whose
+JSON rendering round-trips exactly (int/float/bool/str/None) go
 inline; every other by-value type (tuple, complex, numpy scalars, ...)
 ships pickled.
 """
@@ -29,12 +30,20 @@ ships pickled.
 from __future__ import annotations
 
 import base64
-import importlib
 import pickle
 from typing import Any
 
-import numpy as np
-
+from ..core.dependencies import _SCALAR_TYPES
+from ..core.transfer import (
+    PROTOCOL,
+    WRITABLE_TYPES,
+    TransferError,
+    decode_blob,
+    definition_ref,
+    encode_blob,
+    land,
+    resolve_definition,
+)
 from .errors import ServeError
 
 __all__ = [
@@ -44,7 +53,6 @@ __all__ = [
     "write_back_into",
     "encode_value",
     "decode_value",
-    "datum_nbytes",
     "definition_ref",
     "resolve_definition",
     "is_datum",
@@ -52,20 +60,12 @@ __all__ = [
 
 SERVE_PROTOCOL_VERSION = 1
 
-#: Tracked (shipped-by-reference) container types the session can
-#: write results back into in place.  Mirrors the tracker's by-value
-#: scalar set from the other side: anything the tracker would track
-#: must be one of these to cross the wire.
-_DATUM_TYPES = (np.ndarray, list, bytearray, dict)
-
 #: Scalars whose JSON rendering round-trips exactly.
 _JSON_EXACT = (bool, int, float, str, type(None))
 
 
 def is_datum(value: Any) -> bool:
     """Would the dependency tracker track *value* (ship by reference)?"""
-
-    from ..core.dependencies import _SCALAR_TYPES
 
     return not isinstance(value, _SCALAR_TYPES)
 
@@ -79,65 +79,27 @@ def _unb64(text: str) -> bytes:
 
 
 def encode_datum(obj: Any) -> dict:
-    """Exact payload for one tracked datum."""
+    """Exact JSON payload for one tracked datum."""
 
-    if isinstance(obj, np.ndarray):
-        return {
-            "k": "nd",
-            "dtype": obj.dtype.str,
-            "shape": list(obj.shape),
-            "b64": _b64(obj.tobytes(order="C")),
-        }
-    if isinstance(obj, (list, bytearray, dict)):
-        return {"k": "py", "b64": _b64(pickle.dumps(obj, protocol=4))}
-    raise ServeError(
-        f"cannot ship tracked datum of type {type(obj).__name__}: the "
-        f"serve surface supports ndarray, list, bytearray, and dict "
-        f"(results must be writable back in place)"
-    )
+    if not isinstance(obj, WRITABLE_TYPES):
+        raise TransferError(
+            f"cannot ship tracked datum of type {type(obj).__name__}: "
+            f"results must land back in place, so the serve surface "
+            f"supports ndarray, list, bytearray and dict"
+        )
+    meta, payload = encode_blob(obj)
+    meta["b64"] = _b64(payload)
+    return meta
 
 
 def decode_datum(payload: dict) -> Any:
-    kind = payload.get("k")
-    if kind == "nd":
-        raw = _unb64(payload["b64"])
-        arr = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        # frombuffer returns a read-only view over the decoded bytes;
-        # tasks write into their arrays, so materialise a private copy.
-        return arr.reshape(payload["shape"]).copy()
-    if kind == "py":
-        return pickle.loads(_unb64(payload["b64"]))
-    raise ServeError(f"unknown datum payload kind {kind!r}")
+    return decode_blob(payload, _unb64(payload["b64"]))
 
 
 def write_back_into(target: Any, payload: dict) -> None:
-    """Apply a result payload into the client's original object."""
+    """Land a result payload in the client's original object."""
 
-    value = decode_datum(payload)
-    if isinstance(target, np.ndarray):
-        target[...] = value
-    elif isinstance(target, (list, bytearray)):
-        target[:] = value
-    elif isinstance(target, dict):
-        target.clear()
-        target.update(value)
-    else:
-        raise ServeError(
-            f"cannot write result back into {type(target).__name__}"
-        )
-
-
-def datum_nbytes(obj: Any) -> int:
-    """Admission-control size estimate for one datum."""
-
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, bytearray):
-        return len(obj)
-    try:
-        return len(pickle.dumps(obj, protocol=4))
-    except Exception:  # noqa: BLE001 - sizing only; shipping will re-raise
-        return 0
+    land(target, decode_datum(payload))
 
 
 def encode_value(value: Any) -> dict:
@@ -148,7 +110,7 @@ def encode_value(value: Any) -> dict:
         # NaN/Infinity extensions), so the round trip is exact.
         return {"v": value}
     try:
-        return {"p": _b64(pickle.dumps(value, protocol=4))}
+        return {"p": _b64(pickle.dumps(value, protocol=PROTOCOL))}
     except Exception as exc:  # noqa: BLE001 - reported to the caller
         raise ServeError(
             f"argument of type {type(value).__name__} is not "
@@ -162,49 +124,3 @@ def decode_value(spec: dict) -> Any:
     if "p" in spec:
         return pickle.loads(_unb64(spec["p"]))
     raise ServeError(f"unknown value spec {spec!r}")
-
-
-def definition_ref(definition) -> list:
-    """``[module, qualname]`` for a task importable on the server.
-
-    Same registration rule as the mp backend: the ``@css_task`` must
-    live at module scope under its own name, so both sides resolve the
-    identical pragma.
-    """
-
-    func = definition.func
-    module = getattr(func, "__module__", None)
-    qualname = getattr(func, "__qualname__", "")
-    if not module or "<locals>" in qualname:
-        raise ServeError(
-            f"task {definition.name!r} is not addressable by "
-            f"module/qualname (defined inside a function?); served "
-            f"execution requires module-level @css_task definitions"
-        )
-    return [module, qualname]
-
-
-def resolve_definition(ref) -> Any:
-    """Resolve ``[module, qualname]`` to the full TaskDefinition."""
-
-    module_name, qualname = ref
-    try:
-        obj: Any = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise ServeError(
-            f"cannot import task module {module_name!r}: {exc}"
-        ) from exc
-    for part in qualname.split("."):
-        try:
-            obj = getattr(obj, part)
-        except AttributeError as exc:
-            raise ServeError(
-                f"cannot resolve task {module_name}.{qualname}: {exc}"
-            ) from exc
-    definition = getattr(obj, "definition", None)
-    if definition is None:
-        raise ServeError(
-            f"{module_name}.{qualname} is not a @css_task (no "
-            f".definition attribute)"
-        )
-    return definition

@@ -189,8 +189,6 @@ class ServeSession:
 
         self.flush()
 
-    wait_all = barrier
-
     def acquire(self, obj):
         """``wait_on`` semantics: synchronise, then read *obj* itself.
 

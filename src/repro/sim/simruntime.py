@@ -127,8 +127,6 @@ class SimulatedRuntime:
         self.main_clock = max(self.main_clock, self.vm.last_finish)
         self.tracker.reset()
 
-    wait_all = barrier
-
     def wait_for(self, task: TaskInstance) -> None:
         self._help_while(lambda: task.state is not TaskState.FINISHED)
 

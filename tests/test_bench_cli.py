@@ -14,7 +14,11 @@ import pytest
 
 from repro.bench import experiments as E
 from repro.bench import registry
-from repro.bench.compare import compare_figures, lower_is_better
+from repro.bench.compare import (
+    compare_figures,
+    lower_is_better,
+    render_comparison,
+)
 from repro.bench.harness import FigureResult
 
 pytestmark = pytest.mark.bench
@@ -164,6 +168,15 @@ class TestCompareUnits:
         faster.add("runtime", [8.0])
         assert compare_figures("f", base, faster).points[0].improved
 
+    def test_series_direction_round_trips_and_defaults_to_ylabel(self):
+        fig = FigureResult("f", "t", "x", "MB shipped", [1])
+        fig.add("bytes", [1.0], better="lower")
+        fig.add("hits", [2.0])  # no time-like word: higher is better
+        back = FigureResult.from_dict(json.loads(fig.to_json()))
+        assert [s.better for s in back.series] == ["lower", "higher"]
+        with pytest.raises(ValueError, match="better"):
+            fig.add("bad", [0.0], better="up")
+
     def test_schema_drift_is_skipped_not_fatal(self):
         base = FigureResult("f", "t", "x", "Gflops", [1, 2])
         base.add("old series", [1.0, 2.0])
@@ -197,3 +210,39 @@ class TestCommittedBaselines:
         assert _main(["compare", "--baseline", self.BASELINE_DIR, "--quick",
                       "--repeat", "1", "--figures", "fig11"]) == 0
         assert "0 regressed" in capsys.readouterr().out
+
+    def test_dist_gate_flags_a_worse_value_in_each_direction(self):
+        """The dist figure mixes directions; each series gates its own way.
+
+        The committed baseline predates per-series directions, so it
+        loads with the ylabel default (higher is better for all three).
+        The current run's declared directions must win, or tripling
+        "MB moved" would read as an improvement.
+        """
+
+        baseline = FigureResult.load(
+            os.path.join(self.BASELINE_DIR, "BENCH_dist_throughput.json")
+        )
+        declared = registry.run_figure_repeated("dist", quick=True, repeats=1)
+        assert {s.label: s.better for s in declared.series} == {
+            "MB moved": "lower", "cache hits": "higher", "tasks/sec": "higher",
+        }
+
+        def current(label, factor):
+            cur = FigureResult.from_dict(json.loads(baseline.to_json()))
+            for series in cur.series:
+                series.better = declared.get(series.label).better
+                if series.label == label:
+                    series.values = [v * factor for v in series.values]
+            return cur
+
+        for label, factor in (("MB moved", 3.0), ("cache hits", 0.5),
+                              ("tasks/sec", 0.5)):
+            cmp = compare_figures("dist", baseline, current(label, factor))
+            worse = {p.series for p in cmp.regressions}
+            assert worse == {label}, (label, worse)
+            assert len(cmp.regressions) == len(baseline.x)
+            assert f"REGRESSED {label}" in render_comparison(cmp)
+        better = compare_figures("dist", baseline, current("MB moved", 0.5))
+        assert not better.regressions
+        assert {p.series for p in better.improvements} == {"MB moved"}

@@ -20,8 +20,8 @@ from repro.apps.multisort import multisort
 from repro.dist import (
     AgentServer,
     DistDataLossError,
-    DistSerializationError,
     RemoteTaskError,
+    TransferError,
 )
 from repro.obs.exposition import render_registry
 
@@ -50,6 +50,12 @@ def accum_t(c, acc):
 @css_task("inout(a)")
 def incr_t(a):
     a += 1
+
+
+@css_task("input(a) inout(stats)")
+def tally_t(a, stats):
+    stats["calls"] = stats.get("calls", 0) + 1
+    stats["sum"] = stats.get("sum", 0.0) + float(a.sum())
 
 
 @css_task("inout(a)")
@@ -132,24 +138,26 @@ class TestParity:
         a0 = rng.random((16, 16))
         b0 = rng.random((16, 16))
 
-        def program(rt, a, b):
+        def program(rt, a, b, stats):
             c = np.empty((16, 16))
             for _ in range(3):
                 incr_t(a)
                 mul_t(a, b, c)
                 accum_t(c, b)
+                tally_t(c, stats)  # a dict written on the agents
             rt.barrier()
             return c
 
-        a_ref, b_ref = a0.copy(), b0.copy()
+        a_ref, b_ref, stats_ref = a0.copy(), b0.copy(), {}
         with SmpssRuntime(num_workers=2) as rt:
-            c_ref = program(rt, a_ref, b_ref)
-        a_d, b_d = a0.copy(), b0.copy()
+            c_ref = program(rt, a_ref, b_ref, stats_ref)
+        a_d, b_d, stats_d = a0.copy(), b0.copy(), {}
         with cluster(agents) as rt:
-            c_d = program(rt, a_d, b_d)
+            c_d = program(rt, a_d, b_d, stats_d)
         assert np.array_equal(a_ref, a_d)
         assert np.array_equal(b_ref, b_d)
         assert np.array_equal(c_ref, c_d)
+        assert stats_d == stats_ref and stats_d["calls"] == 3
 
     def test_processes_agent_mode(self):
         agent = AgentServer("tcp:127.0.0.1:0", slots=2, processes=True).start()
@@ -295,7 +303,7 @@ class TestFailures:
             with cluster(agents) as rt:
                 opaque_t(ctx, a)
                 rt.barrier()
-        assert isinstance(exc.value.__cause__, DistSerializationError)
+        assert isinstance(exc.value.__cause__, TransferError)
 
 
 # ---------------------------------------------------------------------------

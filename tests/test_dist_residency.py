@@ -14,17 +14,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dist.encoding import (
-    DistSerializationError,
+from repro.core.transfer import (
+    TransferError,
     alloc_from_meta,
     alloc_meta,
-    apply_blob,
-    content_checksum,
     decode_blob,
     encode_blob,
     slices_from_spec,
     slices_spec,
 )
+from repro.dist.encoding import apply_blob, content_checksum
 from repro.dist.residency import ResidencyMap
 from repro.net.frames import FrameError, recv_frame, send_frame
 
@@ -177,7 +176,7 @@ class TestEncoding:
         assert not out.any()  # deterministic zeros
         assert alloc_from_meta(alloc_meta([1, 2, 3])) == [None] * 3
         assert alloc_from_meta(alloc_meta(bytearray(5))) == bytearray(5)
-        with pytest.raises(DistSerializationError):
+        with pytest.raises(TransferError):
             alloc_meta(object())
 
     def test_slices_spec_roundtrip_preserves_full_dims(self):

@@ -24,8 +24,8 @@ from repro import (
 )
 from repro.core.config import resolve_config
 from repro.mp import (
-    MpSerializationError,
     RemoteTaskError,
+    TransferError,
     WorkerLostError,
     leaked_segment_files,
 )
@@ -76,6 +76,12 @@ def fill_region_t(data, i, j, v):
 def double_list_t(xs):
     for k in range(len(xs)):
         xs[k] *= 2
+
+
+@css_task("inout(d)")
+def double_dict_t(d):
+    for k in d:
+        d[k] *= 2
 
 
 @css_task("input(x)")
@@ -240,10 +246,13 @@ class TestWriteBack:
 
     def test_list_writeback(self):
         xs = [1, 2, 3, 4]
+        d = {"a": 1, "b": 5}
         with SmpssRuntime(num_workers=1, backend="processes") as rt:
             double_list_t(xs)
+            double_dict_t(d)
             rt.barrier()
         assert xs == [2, 4, 6, 8]
+        assert d == {"a": 2, "b": 10}
 
     def test_scalars_ship_by_pickle(self):
         data = np.zeros(8)
@@ -275,7 +284,7 @@ class TestErrors:
             with SmpssRuntime(num_workers=1, backend="processes") as rt:
                 opaque_write_t(np.zeros(8), 4)
                 rt.barrier()
-        assert isinstance(excinfo.value.__cause__, MpSerializationError)
+        assert isinstance(excinfo.value.__cause__, TransferError)
         assert "arena" in str(excinfo.value.__cause__)
 
     def test_opaque_arena_ndarray_writes_through(self):

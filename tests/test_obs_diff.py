@@ -12,18 +12,17 @@ import json
 
 import pytest
 
+from repro.bench.compare import compare_figures, render_comparison
 from repro.bench.harness import FigureResult
 from repro.core.tracing import EventKind, TraceEvent
 from repro.obs.diff import (
     bootstrap_mean_delta,
     collect_task_durations,
     critical_chain,
-    diff_figures,
     diff_metrics,
     diff_task_graphs,
     diff_to_dot,
     diff_traces,
-    render_figure_diff,
     render_graph_diff,
     render_metrics_diff,
     render_trace_diff,
@@ -189,11 +188,12 @@ class TestMetricsAndFigureDiff:
         fig_a.add("SMPSs", [10.0, 20.0])
         fig_b = FigureResult("f", "t", "threads", "Gflops", [1, 2])
         fig_b.add("SMPSs", [10.0, 15.0])
-        deltas = diff_figures(fig_a, fig_b)
-        assert len(deltas) == 2
-        worst = max(deltas, key=lambda d: abs(d.delta))
-        assert worst.x == 2 and worst.delta == pytest.approx(-5.0)
-        assert "SMPSs" in render_figure_diff(deltas)
+        cmp = compare_figures("f", fig_a, fig_b)
+        assert len(cmp.points) == 2
+        worst = max(cmp.points, key=lambda p: p.rel_worse)
+        assert worst.x == 2 and worst.current - worst.baseline == -5.0
+        assert cmp.regressions == [worst]  # Gflops: higher is better
+        assert "REGRESSED SMPSs" in render_comparison(cmp)
 
 
 def _static_doc(**overrides):

@@ -8,7 +8,6 @@ top-level namespace froze.  These tests pin each of those contracts.
 """
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
@@ -189,44 +188,17 @@ class TestConfigConstruction:
 
 class TestDeprecationShims:
     def test_shim_table_is_audited(self):
-        """Every surviving shim is deliberate: the table holds exactly
-        the moved names still referenced in the wild (PR 9 audit —
-        unreferenced shims were deleted, referenced ones stay tested)."""
+        """No moved name keeps a shim: ``RuntimeConfig`` lives only in
+        ``repro.core.config`` (re-exported from ``repro`` and
+        ``repro.core``), and the runtime module has no ``__getattr__``
+        hook handing out old homes."""
 
         import repro.core.runtime as runtime_mod
 
-        assert sorted(runtime_mod._DEPRECATED_HOMES) == ["RuntimeConfig"]
-
-    def test_every_surviving_shim_warns_and_resolves(self):
-        import importlib
-
-        import repro.core.runtime as runtime_mod
-
-        for name, (home, obj) in runtime_mod._DEPRECATED_HOMES.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                shimmed = getattr(runtime_mod, name)
-            # The shim hands out the SAME object as the new home.
-            assert shimmed is obj
-            assert getattr(importlib.import_module(home), name) is obj
-            assert any(
-                issubclass(w.category, DeprecationWarning)
-                and home in str(w.message)
-                for w in caught
-            ), name
-
-    def test_runtimeconfig_old_home_warns_and_works(self):
-        import repro.core.runtime as runtime_mod
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = runtime_mod.RuntimeConfig
-        assert shimmed is RuntimeConfig
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.core.config" in str(w.message)
-            for w in caught
-        )
+        assert not hasattr(runtime_mod, "_DEPRECATED_HOMES")
+        assert "__getattr__" not in vars(runtime_mod)
+        with pytest.raises(ImportError):
+            from repro.core.runtime import RuntimeConfig  # noqa: F401
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod

@@ -74,6 +74,19 @@ def boom_t(a):
     raise ValueError("deliberate task failure")
 
 
+@css_task("inout(rec)")
+def field_sum_t(rec):
+    # Reads fields by name: the datum must keep its structured dtype.
+    rec["total"] = rec["x"] * 2.0 + rec["n"]
+
+
+@css_task("inout(objs)")
+def object_field_t(objs):
+    # Reads a field of every element of an object-dtype array.
+    for i in range(len(objs)):
+        objs[i] = {"v": objs[i]["v"] + 1, "seen": True}
+
+
 #: Gate for in-flight tests: tasks park here until the test opens it.
 _GATE = threading.Event()
 
@@ -215,15 +228,31 @@ class TestServedParity:
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
         c_local, c_served = np.zeros((16, 16)), np.zeros((16, 16))
+        # Structured and object dtypes cross by pickle, not raw bytes.
+        rec_dtype = np.dtype([("x", "<f8"), ("n", "<i4"), ("total", "<f8")])
+        rec_local = np.zeros(5, dtype=rec_dtype)
+        rec_local["x"] = rng.standard_normal(5)
+        rec_local["n"] = np.arange(5)
+        rec_served = rec_local.copy()
+        objs_local = np.array([{"v": i} for i in range(4)], dtype=object)
+        objs_served = np.array([{"v": i} for i in range(4)], dtype=object)
         gemm_t(a, b, c_local)  # sequential reference
         gemm_t(a, b, c_local)
+        field_sum_t(rec_local)
+        object_field_t(objs_local)
         with connect(daemon.address) as rt:
             gemm_t(a, b, c_served)
             gemm_t(a, b, c_served)
+            field_sum_t(rec_served)
+            object_field_t(objs_served)
             latest = wait_on(c_served)
             assert latest is c_served  # post-flush the base IS current
             assert rt.graphs_submitted == 1
         assert c_served.tobytes() == c_local.tobytes()
+        assert rec_served.dtype == rec_dtype
+        assert rec_served.tobytes() == rec_local.tobytes()
+        assert objs_served.dtype == object
+        assert list(objs_served) == list(objs_local)
 
     def test_cholesky_parity(self, daemon):
         hm_local = HyperMatrix.random_spd(4, 8, seed=1)
