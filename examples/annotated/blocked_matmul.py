@@ -7,7 +7,7 @@ the paper's dual-compilation property, at the source level.
 
     python examples/annotated/blocked_matmul.py          # sequential
     python examples/compiled_program.py                  # translated + parallel
-    python -m repro.compiler examples/annotated/blocked_matmul.py  # view output
+    python -m repro compile examples/annotated/blocked_matmul.py  # view output
 """
 
 import numpy as np

@@ -8,16 +8,16 @@ One front door for every tool in the package::
     python -m repro bench --help                 # figure harness
     python -m repro live attach tcp:...          # live inspection
     python -m repro serve tcp:127.0.0.1:7070     # task-graph service
+    python -m repro dist agent tcp:127.0.0.1:0   # cluster node agent
+    python -m repro compile annotated.py         # pragma translator
 
 Conventions shared by every command: machine output via ``--json`` /
 ``--format json`` where the command produces findings, exit 0 on
 success, 1 on findings/failure, 2 on usage errors.
 
-The historical per-module forms (``python -m repro.check lint``,
-``python -m repro.obs``, ``python -m repro.bench``, ``python -m
-repro.live``, ``python -m repro.serve``) keep working as aliases —
-they print a pointer to this entry point on stderr and behave
-identically otherwise.
+This is the only entry point: each tool's ``main(argv)`` lives in its
+package's ``cli`` module, and the packages are not runnable on their
+own (``python -m repro.live`` fails).
 """
 
 from __future__ import annotations
@@ -35,31 +35,23 @@ commands:
   live    live task-graph inspection and replay (repro.live)
   serve   the multi-tenant task-graph service daemon (repro.serve)
   dist    node agents for the distributed backend (repro.dist)
+  compile translate #pragma css annotated Python (repro.compiler)
 
 `python -m repro <command> --help` shows that command's options.
 """
 
 #: command -> (module with a ``main(argv) -> int``, argv prefix)
 COMMANDS = {
-    "lint": ("repro.check.__main__", ["lint"]),
-    "flow": ("repro.check.__main__", ["flow"]),
-    "check": ("repro.check.__main__", []),
-    "obs": ("repro.obs.__main__", []),
-    "bench": ("repro.bench.__main__", []),
-    "live": ("repro.live.__main__", []),
-    "serve": ("repro.serve.__main__", []),
-    "dist": ("repro.dist.__main__", []),
+    "lint": ("repro.check.cli", ["lint"]),
+    "flow": ("repro.check.cli", ["flow"]),
+    "check": ("repro.check.cli", []),
+    "obs": ("repro.obs.cli", []),
+    "bench": ("repro.bench.cli", []),
+    "live": ("repro.live.cli", []),
+    "serve": ("repro.serve.cli", []),
+    "dist": ("repro.dist.cli", []),
+    "compile": ("repro.compiler.cli", []),
 }
-
-
-def deprecation_note(module: str, command: str) -> None:
-    """One-line pointer printed by the legacy ``-m repro.X`` forms."""
-
-    print(
-        f"note: `python -m {module}` is an alias; the unified entry "
-        f"point is `python -m repro {command}`",
-        file=sys.stderr,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

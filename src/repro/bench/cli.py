@@ -2,12 +2,12 @@
 
 Usage::
 
-    python -m repro.bench list
-    python -m repro.bench fig11
-    python -m repro.bench fig14 --quick --chart
-    python -m repro.bench all --quick
-    python -m repro.bench fig11 --quick --repeat 5 --save out/
-    python -m repro.bench compare --baseline benchmarks/baselines --quick
+    python -m repro bench list
+    python -m repro bench fig11
+    python -m repro bench fig14 --quick --chart
+    python -m repro bench all --quick
+    python -m repro bench fig11 --quick --repeat 5 --save out/
+    python -m repro bench compare --baseline benchmarks/baselines --quick
 
 ``--repeat N`` runs each figure N times and reports per-point medians
 (IQR kept as the spread estimate); ``--save`` stamps a provenance
@@ -82,7 +82,7 @@ def _run_figure(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m repro bench",
         description="Regenerate figures from the SMPSs paper's evaluation.",
     )
     parser.add_argument(
@@ -171,10 +171,3 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
     return 1
-
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.bench", "bench")
-    raise SystemExit(main())

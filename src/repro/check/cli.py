@@ -2,15 +2,15 @@
 
 Usage::
 
-    python -m repro.check lint src/repro/apps examples
-    python -m repro.check lint prog.py --format json
-    python -m repro.check lint prog.py --select input-write,bad-pragma
-    python -m repro.check lint prog.py --ignore unwritten-output
-    python -m repro.check lint prog.py --constants N,M
-    python -m repro.check flow src/repro/apps examples
-    python -m repro.check flow driver.py --entry main --format dot
-    python -m repro.check flow driver.py --format json
-    python -m repro.check rules
+    python -m repro lint src/repro/apps examples
+    python -m repro lint prog.py --format json
+    python -m repro lint prog.py --select input-write,bad-pragma
+    python -m repro lint prog.py --ignore unwritten-output
+    python -m repro lint prog.py --constants N,M
+    python -m repro flow src/repro/apps examples
+    python -m repro flow driver.py --entry main --format dot
+    python -m repro flow driver.py --format json
+    python -m repro check rules
 
 ``lint`` checks each task body against its pragma; ``flow`` abstractly
 interprets the whole driver program, reporting cross-submission
@@ -41,14 +41,14 @@ def _split_rules(raw: str, parser: argparse.ArgumentParser) -> list[str]:
     if unknown:
         parser.error(
             f"unknown rule(s): {', '.join(unknown)} "
-            f"(see 'python -m repro.check rules')"
+            f"(see 'python -m repro check rules')"
         )
     return rules
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.check",
+        prog="python -m repro check",
         description="Directionality-annotation correctness tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,10 +168,3 @@ def _run_flow(args, parser, select, ignore) -> int:
                 file=sys.stderr,
             )
     return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.check", "lint|flow")
-    raise SystemExit(main())

@@ -20,7 +20,7 @@ program, annotated only with comments, runs in parallel unmodified.
 
 Use :func:`translate_source` for text-to-text translation,
 :func:`compile_annotated` / :func:`load_annotated_module` to get a live
-module, or ``python -m repro.compiler in.py -o out.py`` from a shell.
+module, or ``python -m repro compile in.py -o out.py`` from a shell.
 """
 
 from .translate import (

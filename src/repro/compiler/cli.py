@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.compiler annotated.py            # print translation
-    python -m repro.compiler annotated.py -o out.py  # write translation
-    python -m repro.compiler annotated.py --run      # translate and exec
+    python -m repro compile annotated.py            # print translation
+    python -m repro compile annotated.py -o out.py  # write translation
+    python -m repro compile annotated.py --run      # translate and exec
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .translate import CompileError, compile_annotated, translate_source
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.compiler",
+        prog="python -m repro compile",
         description="Translate #pragma css annotated Python to runtime calls.",
     )
     parser.add_argument("input", help="annotated source file")
@@ -44,7 +44,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(translated)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

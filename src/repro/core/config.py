@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .dependencies import TrackerConfig
 from .scheduler import SmpssScheduler
 
 __all__ = ["RuntimeConfig", "resolve_config"]
@@ -97,10 +98,6 @@ class RuntimeConfig:
     #: data).  ``False`` (default): outputs stay resident on the
     #: producing node until a barrier or a remote consumer fetches them.
     dist_write_through: bool = False
-    #: Feed the scheduler the locality-aware placement hook (prefer the
-    #: node holding the most input bytes; idle fallback).  Disable to
-    #: measure placement's effect in ablations.
-    dist_placement: bool = True
     #: Live inspection & control (:mod:`repro.live`): serve graph-delta
     #: events and accept pause/step/breakpoint commands while the run is
     #: in flight.  Implies ``trace=True`` (the event plane is a tap on
@@ -150,6 +147,14 @@ class RuntimeConfig:
 
         if self.num_workers is None:
             self.num_workers = max(1, (os.cpu_count() or 2) - 1)
+
+    def tracker_config(self) -> TrackerConfig:
+        """The dependency engine's switches taken from these knobs."""
+
+        return TrackerConfig(
+            enable_renaming=self.enable_renaming,
+            rename_inout=self.rename_inout,
+        )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RuntimeConfig)}

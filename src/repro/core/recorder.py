@@ -33,7 +33,7 @@ from typing import Literal, Optional
 
 from . import api as _api
 from .config import RuntimeConfig, resolve_config
-from .dependencies import DependencyTracker, TrackerConfig
+from .dependencies import DependencyTracker
 from .graph import TaskGraph
 from .invocation import instantiate, resolve_call_values
 from .task import TaskInstance, reset_task_ids
@@ -88,7 +88,7 @@ class RecordedProgram:
         """Topology + submission stream as plain data.
 
         Task bodies and argument values are *not* serialised — a saved
-        recording replays scheduling (``python -m repro.live replay``),
+        recording replays scheduling (``python -m repro live replay``),
         it does not re-execute computation.  Requires ``keep_graph``
         (the default for recordings): a retired graph has no edges left
         to save.
@@ -184,10 +184,7 @@ class RecordingRuntime:
         self.graph = TaskGraph(keep_finished=self.config.keep_graph)
         self.tracker = DependencyTracker(
             self.graph,
-            config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
+            config=self.config.tracker_config(),
             tracer=NullTracer(),
         )
         self.constants = self.config.constants

@@ -16,16 +16,21 @@ practical parallel runtime for array-heavy tasks; the performance
 :mod:`repro.sim`, which drives the same scheduler code over virtual
 cores.
 
-With ``backend="processes"`` (:mod:`repro.mp`) the same worker threads
-become *proxy threads*: they pop tasks from the same scheduler under
-the same locks, but each forwards the task body to a dedicated
-long-lived worker process and blocks — GIL released — for the reply.
-Dependency analysis, renaming, regions, the memory limit, and all
-completion bookkeeping are untouched; pure-Python task bodies gain
-true multi-core parallelism.  In that mode the main thread never runs
-task bodies itself (its help would serialise the proxies on the master
-GIL); at a blocking condition it simply waits for completions, keeping
-the paper's blocking/unblocking semantics.
+Where a body runs is the one thing a backend decides, and it decides
+it through one :class:`Executor` object the runtime holds from
+construction: :class:`InlineExecutor` (``backend="threads"``, the body
+runs on the popping thread), :class:`repro.mp.ProcessBackend`
+(``"processes"``) or :class:`repro.dist.ClusterBackend`
+(``"cluster"``).  Under the remote two the worker threads become
+*proxy threads*: they pop tasks from the same scheduler under the same
+locks, but each hands the body to its executor slot and blocks — GIL
+released — for the reply.  Dependency analysis, renaming, regions, the
+memory limit, and all completion bookkeeping are untouched.  The main
+thread pops and runs bodies at a blocking condition only when the
+executor runs them in-process (:attr:`Executor.in_process`); under a
+remote executor its help would serialise the proxies on the master
+GIL, so it waits for completions instead, keeping the paper's
+blocking/unblocking semantics.
 
 Locking discipline (the fast-path submission engine):
 
@@ -48,19 +53,19 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 from . import api as _api
 from .config import RuntimeConfig as _RuntimeConfig
 from .config import resolve_config
-from .dependencies import DependencyTracker, TrackerConfig
+from .dependencies import DependencyTracker
 from .graph import TaskGraph
 from .invocation import plan_for, resolve_call_values
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
 from .task import TaskInstance, TaskState, reset_task_ids
 from .tracing import NullTracer, ThreadLocalTracer
 
-__all__ = ["SmpssRuntime", "TaskExecutionError"]
+__all__ = ["Executor", "InlineExecutor", "SmpssRuntime", "TaskExecutionError"]
 
 
 class TaskExecutionError(RuntimeError):
@@ -70,6 +75,106 @@ class TaskExecutionError(RuntimeError):
         super().__init__(f"task #{task.task_id} {task.name!r} raised: {cause!r}")
         self.task = task
         self.__cause__ = cause
+
+
+@runtime_checkable
+class Executor(Protocol):
+    """Where task bodies run: the one contract every backend meets.
+
+    The runtime (and the service engine) pops a ready task on thread
+    *slot* and calls :meth:`run`; everything else — analysis, renaming,
+    completion, wakeups — stays with the caller.
+    """
+
+    #: True when bodies run in this interpreter, so the main thread
+    #: helps by running them itself at a blocking condition.
+    in_process: bool
+    #: Scheduler placement hook (``task -> slot or None``), or ``None``.
+    placement: Optional[Callable]
+
+    def start(self) -> int:
+        """Bring the executor up; return its slot count."""
+
+    def run(self, task: TaskInstance, slot: int) -> tuple:
+        """Run *task*'s body on *slot*; return ``(cause, duration)``.
+
+        ``cause`` is ``None`` on success, else the exception the caller
+        reports; an exception *raised* here is a caller-side bug.
+        """
+
+    def fetch_version(self, version) -> None:
+        """Make the master copy of *version*'s storage current."""
+
+    def barrier_sync(self) -> None:
+        """Bring every datum home before a barrier's write-back."""
+
+    def liveness(self) -> list:
+        """One ``{"slot", "alive", ...}`` record per slot."""
+
+    def stop(self) -> None:
+        """Release every resource; never raises."""
+
+
+class InlineExecutor:
+    """Runs bodies on the calling thread (``backend="threads"``).
+
+    *tls* carries the in-task flag that makes task calls inside a body
+    run inline; *tracer* (or ``None``) receives the start/end events and
+    *sanitizer* (or ``None``) guards the resolved values.
+    """
+
+    in_process = True
+    placement = None
+
+    def __init__(self, workers: int, tls: threading.local,
+                 tracer=None, sanitizer=None):
+        self._workers = workers
+        self._tls = tls
+        self._trace = tracer
+        self._sanitizer = sanitizer
+
+    def start(self) -> int:
+        return self._workers
+
+    def run(self, task: TaskInstance, slot: int) -> tuple:
+        trace = self._trace
+        if trace is not None:
+            trace.task_start(task, slot)
+        sanitizer = self._sanitizer
+        cause = None
+        t0 = perf_counter()
+        self._tls.in_task = True
+        try:
+            values = resolve_call_values(task, sanitizer)
+            task.definition.func(*values)
+        except BaseException as exc:  # noqa: BLE001 - reported by the caller
+            cause = exc
+            if sanitizer is not None:
+                translated = sanitizer.translate(task, exc, slot)
+                if translated is not None:
+                    cause = translated
+        else:
+            if sanitizer is not None:
+                sanitizer.finish(task, slot)
+        finally:
+            self._tls.in_task = False
+        duration = perf_counter() - t0
+        if trace is not None:
+            trace.task_end(task, slot)
+        return cause, duration
+
+    def fetch_version(self, version) -> None:
+        pass
+
+    def barrier_sync(self) -> None:
+        pass
+
+    def liveness(self) -> list:
+        return [{"slot": slot, "alive": True}
+                for slot in range(1, self._workers + 1)]
+
+    def stop(self) -> None:
+        pass
 
 
 class SmpssRuntime:
@@ -142,11 +247,11 @@ class SmpssRuntime:
         self._sched_lock = threading.Lock()
         self._sched_cv = threading.Condition(self._sched_lock)
         self._main_cv = threading.Condition(self._sched_lock)
-        self._main_waiting = False
+        self._main_asleep = False
         self._running = 0
         #: Worker threads currently blocked in ``cv.wait()`` (the live
         #: dashboard's "parked" count; main-thread waiting is the
-        #: separate ``_main_waiting`` flag).
+        #: separate ``_main_asleep`` flag).
         self._parked = 0
         #: Per-thread task currently executing (``None`` when idle).
         #: Written only by the owning thread; readers (live snapshots)
@@ -166,20 +271,39 @@ class SmpssRuntime:
         self.tasks_executed = 0
         #: repro.check.Sanitizer when config.sanitize, else None.
         self.sanitizer = None
+        if self.config.sanitize:
+            # Imported here, not at module level: check sits above core.
+            from ..check.sanitize import Sanitizer
+
+            self.sanitizer = Sanitizer(
+                tracer=self._trace,
+                metrics=self.metrics if self._metrics_on else None,
+            )
         #: Per-thread flag: set while a task body runs on that thread,
         #: so task calls made from inside tasks execute inline ("SMPSs
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
-        #: The remote-execution backend behind the proxy threads:
-        #: repro.mp.ProcessBackend (backend="processes") or
-        #: repro.dist.ClusterBackend (backend="cluster"); None for
-        #: threads.  Both satisfy the same run()/stop()/liveness()
-        #: contract, so _execute/_main_wait/health treat them alike.
-        self._mp = None
-        #: The same object as _mp when it is a ClusterBackend — the
-        #: residency-specific call sites (barrier sync, wait_on fetch)
-        #: key off this narrower alias.
-        self._cluster = None
+        #: Where task bodies run (see :class:`Executor`).
+        self.executor: Executor = self._make_executor()
+
+    def _make_executor(self) -> Executor:
+        config = self.config
+        # Remote executors are imported here, not at module level: mp
+        # and dist sit above core.
+        if config.backend == "processes":
+            from ..mp.executor import ProcessBackend
+
+            return ProcessBackend(
+                config.num_workers, self.metrics, tracer=self._trace,
+                ring_size=config.trace_buffer_size,
+            )
+        if config.backend == "cluster":
+            from ..dist.manager import ClusterBackend
+
+            return ClusterBackend(config, self.metrics, tracer=self._trace)
+        return InlineExecutor(
+            config.num_workers, self._tls, self._trace, self.sanitizer
+        )
 
     def in_task_body(self) -> bool:
         try:
@@ -198,77 +322,46 @@ class SmpssRuntime:
             keep_finished=self.config.keep_graph, tracer=self.tracer
         )
         self.tracker = DependencyTracker(
-            self.graph,
-            config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
-            tracer=self.tracer,
+            self.graph, config=self.config.tracker_config(), tracer=self.tracer
         )
-        if self.config.backend == "cluster":
-            # Imported here, not at module level: dist sits above core.
-            # Connected before the scheduler exists because the fleet's
-            # slot count *is* num_workers, and before the proxy threads
-            # so a failed dial aborts start() cleanly.
-            from ..dist.manager import ClusterBackend
-
-            cluster = ClusterBackend(self)
-            try:
-                cluster.start()
-            except BaseException:
-                cluster.stop()
-                raise
-            self._cluster = cluster
-            self._mp = cluster
-            self.config.num_workers = cluster.num_slots
-            self.tracker.residency_fetch = cluster.fetch_version
+        executor = self.executor
+        # Started before the scheduler exists because a cluster fleet's
+        # slot count *is* num_workers, and before the worker threads
+        # and the api stack so forked worker processes start from a
+        # quiet single-threaded image and a failed dial or fork aborts
+        # start() cleanly.
+        try:
+            self.config.num_workers = executor.start()
+        except BaseException:
+            executor.stop()
+            raise
+        self.tracker.residency_fetch = executor.fetch_version
         num_threads = self.config.num_workers + 1  # + the main thread
         self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
-        if self._cluster is not None and self.config.dist_placement:
-            self.scheduler.placement = self._cluster.placement
+        self.scheduler.placement = executor.placement
         # Per-submission constants, hoisted out of the hot loop.
         self._constants = self.config.constants
         self._max_pending = self.config.max_pending_tasks
         self._mem_limit = self.config.memory_limit_bytes
-        if self.config.sanitize:
-            # Imported here, not at module level: check sits above core.
-            from ..check.sanitize import Sanitizer
-
-            self.sanitizer = Sanitizer(
-                tracer=self.tracer or None,
-                metrics=self.metrics if self._metrics_on else None,
-            )
         self._stop = False
         self._failure = None
-        if self.config.backend == "processes":
-            # Imported here, not at module level: mp sits above core.
-            from ..mp.executor import ProcessBackend
-
-            # Fork the worker processes *before* the proxy threads
-            # exist and before the runtime goes on the api stack, so
-            # each child starts from a quiet single-threaded image.
-            self._mp = ProcessBackend(self)
-            try:
-                self._mp.start(self.config.num_workers)
-            except BaseException:
-                self._mp.stop()
-                self._mp = None
-                raise
         self._current = [None] * num_threads
         self._parked = 0
         if self.config.live:
             # Imported here, not at module level: live sits above core.
-            # Started after the mp fork (the server thread must not be
-            # duplicated into worker processes) and before the proxy /
-            # worker threads, so no dispatch escapes a paused start.
+            # Started after the executor's fork (the server thread must
+            # not be duplicated into worker processes) and before the
+            # proxy / worker threads, so no dispatch escapes a paused
+            # start.
             from ..live.session import LiveSession
 
             self.live = LiveSession(self)
         if self.config.health:
             # Imported here, not at module level: obs sits above core.
-            # Started after the mp fork (the watchdog thread must not
-            # be duplicated into worker processes) and before the
-            # worker threads, so the first sample sees a live runtime.
+            # Started after the executor's fork (the watchdog thread
+            # must not be duplicated into worker processes) and before
+            # the worker threads, so the first sample sees a live
+            # runtime.
             from ..obs.health import HealthMonitor
 
             self.health = HealthMonitor(self)
@@ -305,14 +398,11 @@ class SmpssRuntime:
             for thread in self._threads:
                 thread.join()
             self._threads.clear()
-            if self._mp is not None:
-                # After the proxies have joined no task is in flight;
-                # stop() never raises, so shared memory owned by arenas
-                # is unlinked on their own lifecycle, and every child is
-                # reaped even when we got here through an exception.
-                self._mp.stop()
-                self._mp = None
-                self._cluster = None
+            # After the workers have joined no task is in flight; stop()
+            # never raises, so shared memory owned by arenas is unlinked
+            # on their own lifecycle, and every child is reaped even
+            # when we got here through an exception.
+            self.executor.stop()
             if self.health is not None:
                 # Stopped only after workers have joined: the watchdog
                 # keeps observing through the final barrier — the very
@@ -416,12 +506,10 @@ class SmpssRuntime:
             self._m_barrier.observe(perf_counter() - t0)
         if self._failure is not None:
             raise self._failure
-        if self._cluster is not None:
-            # Pull every master-stale datum home and settle the
-            # residency map *before* write_back_all copies renamed
-            # buffers into user objects — the runtime is quiescent here
-            # (nothing pending), so no dispatch races this sync.
-            self._cluster.barrier_sync()
+        # Pull every master-stale datum home *before* write_back_all
+        # copies renamed buffers into user objects — the runtime is
+        # quiescent here (nothing pending), so no dispatch races this.
+        self.executor.barrier_sync()
         with self._tracker_lock:
             if self.config.write_back_on_barrier:
                 count = self.tracker.write_back_all()
@@ -464,10 +552,9 @@ class SmpssRuntime:
             self.wait_for(producer)
             if self.tracer:
                 self.tracer.wait_on_exit()
-        if self._cluster is not None:
-            # wait_on reads on the main program's thread: the finished
-            # producer may have left the bytes resident on its node.
-            self._cluster.fetch_version(version)
+        # wait_on reads on the main program's thread: the finished
+        # producer may have left the bytes resident elsewhere.
+        self.executor.fetch_version(version)
         return version.resolve_storage()
 
     # ------------------------------------------------------------------
@@ -497,24 +584,24 @@ class SmpssRuntime:
     def _main_help(self, predicate: Callable[[], bool]) -> None:
         """Run tasks on the main thread while *predicate* holds.
 
-        Under the process backend the main thread waits instead of
+        Under a remote executor the main thread waits instead of
         helping: running a pure-Python body here would hold the master
         GIL and starve the proxy threads' completion bookkeeping, which
-        is exactly the serial overhead that backend exists to remove.
+        is exactly the serial overhead those backends exist to remove.
         """
 
-        if self._mp is not None:
-            return self._main_wait(predicate)
+        helps = self.executor.in_process
         while True:
             task = None
             with self._sched_lock:
                 while True:
                     if self._failure is not None or not predicate():
                         return
-                    task = self.scheduler.pop(0)
-                    if task is not None:
-                        self._running += 1
-                        break
+                    if helps:
+                        task = self.scheduler.pop(0)
+                        if task is not None:
+                            self._running += 1
+                            break
                     if self._running == 0 and not self.scheduler.has_ready():
                         # Workers update the graph (tracker lock) before
                         # the scheduler (this lock), so running == 0
@@ -524,45 +611,20 @@ class SmpssRuntime:
                         if self.graph.pending_count > 0:
                             raise self._stalled()
                         return
-                    self._main_waiting = True
+                    self._main_asleep = True
                     try:
                         self._main_cv.wait()
                     finally:
-                        self._main_waiting = False
+                        self._main_asleep = False
             self._execute(task, 0)
-
-    def _main_wait(self, predicate: Callable[[], bool]) -> None:
-        """Sleep until *predicate* clears (process backend's main loop).
-
-        Same stall detection as :meth:`_main_help`: proxies update the
-        graph (tracker lock) before the scheduler (this lock), so
-        ``running == 0`` with nothing ready means every completion is
-        visible and remaining pending tasks are a genuine stall.
-        """
-
-        with self._sched_lock:
-            while True:
-                if self._failure is not None or not predicate():
-                    return
-                if self._running == 0 and not self.scheduler.has_ready():
-                    if self.graph.pending_count > 0:
-                        raise self._stalled()
-                    return
-                self._main_waiting = True
-                try:
-                    self._main_cv.wait()
-                finally:
-                    self._main_waiting = False
 
     def _stalled(self) -> RuntimeError:
         """The unified "runtime stalled" error (see repro.obs.health).
 
-        Both main-thread blocking loops detect the same condition —
-        pending tasks, nothing ready, nothing running — and used to
-        raise their own copies of a bare ``RuntimeError``.  The health
-        module now builds one enriched error (blocked-task wait chains
-        appended, flight recorder dumped when a monitor is attached);
-        the message prefix and ``RuntimeError`` ancestry are unchanged.
+        The main-thread blocking loop detects pending tasks with
+        nothing ready and nothing running; the health module builds the
+        enriched error (blocked-task wait chains appended, flight
+        recorder dumped when a monitor is attached).
         """
 
         from ..obs.health import stalled_error
@@ -570,53 +632,23 @@ class SmpssRuntime:
         return stalled_error(self)
 
     def _execute(self, task: TaskInstance, thread: int) -> None:
-        trace = self._trace
-        metrics_on = self._metrics_on
-        mp = self._mp
-        remote = mp is not None and thread != 0
-        failure: Optional[TaskExecutionError] = None
-        duration = 0.0
-        t_end = 0.0
+        executor = self.executor
         self._current[thread] = task
-        if remote:
-            # Proxy path: the worker process records its own
-            # task_start/task_end events (same monotonic clock, same
-            # thread index) and ships them back with the reply, so the
-            # master must not emit a duplicate pair here.
-            # mp.run returns expected failures (remote exception, lost
-            # worker, unserialisable arguments) as `cause`; anything it
-            # *raises* is a master-side bug, which must still surface
-            # at the barrier — a proxy thread dying silently would
-            # leave `_running` stuck and hang the main thread forever.
-            try:
-                cause, duration = mp.run(task, thread)
-            except BaseException as exc:  # noqa: BLE001 - reported at barrier
-                cause = exc
-            if cause is not None:
-                failure = TaskExecutionError(task, cause)
-        else:
-            if trace is not None:
-                trace.task_start(task, thread)
-            t0 = perf_counter() if metrics_on else 0.0
-            sanitizer = self.sanitizer
-            self._tls.in_task = True
-            try:
-                values = resolve_call_values(task, sanitizer)
-                task.definition.func(*values)
-            except BaseException as exc:  # noqa: BLE001 - reported at barrier
-                if sanitizer is not None:
-                    translated = sanitizer.translate(task, exc, thread)
-                    if translated is not None:
-                        exc = translated
-                failure = TaskExecutionError(task, exc)
-            else:
-                if sanitizer is not None:
-                    sanitizer.finish(task, thread)
-            finally:
-                self._tls.in_task = False
-            if metrics_on:
-                t_end = perf_counter()
-                duration = t_end - t0
+        live = self.live
+        if live is not None and not executor.in_process:
+            # A remote body's start event only ships back with the
+            # reply; without this a live dashboard would never see the
+            # task leave the queue until it was already done.
+            live.notify_dispatch(task, thread)
+        # Expected failures come back as `cause`; anything run() raises
+        # is a master-side bug, which must still surface at the
+        # barrier — a worker thread dying silently would leave
+        # `_running` stuck and hang the main thread forever.
+        try:
+            cause, duration = executor.run(task, thread)
+        except BaseException as exc:  # noqa: BLE001 - reported at barrier
+            cause, duration = exc, 0.0
+        failure = None if cause is None else TaskExecutionError(task, cause)
         task.executed_by = thread
         self._current[thread] = None
         with self._tracker_lock:
@@ -631,14 +663,12 @@ class SmpssRuntime:
             # recorder's scalar races are benign telemetry.  Keeping
             # this off the scheduler lock keeps the health layer out of
             # the serialized completion path (the <5% overhead pin).
-            # health=True implies metrics, so duration/t_end are real;
-            # remote completions reuse the dispatch clock.
             flight.note_task(
                 task.task_id, task.definition.name, thread,
-                perf_counter() if remote else t_end, duration,
+                perf_counter(), duration,
             )
         with self._sched_lock:
-            if metrics_on:
+            if self._metrics_on:
                 name = task.definition.name
                 hist = self._task_hists.get(name)
                 if hist is None:
@@ -654,8 +684,6 @@ class SmpssRuntime:
             self.tasks_executed += 1
             if failure is not None and self._failure is None:
                 self._failure = failure
-            if trace is not None and not remote:
-                trace.task_end(task, thread)
             # Batched wakeups.  Workers: one notify per released
             # successor (the completing thread re-pops without sleeping,
             # so the batch need not over-wake) — or a broadcast on
@@ -667,7 +695,7 @@ class SmpssRuntime:
                 self._sched_cv.notify_all()
             elif newly_ready:
                 self._sched_cv.notify(len(newly_ready))
-            if self._main_waiting:
+            if self._main_asleep:
                 self._main_cv.notify()
 
     # ------------------------------------------------------------------

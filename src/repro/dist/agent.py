@@ -473,30 +473,36 @@ class AgentServer:
 
     def _resolve_values(self, specs: list) -> list:
         store = self.store
-        values: list = []
-        for spec in specs:
+        values: list = [None] * len(specs)
+        refs: list = []
+        for pos, spec in enumerate(specs):
             tag = spec[0]
             if tag == "s":
-                values.append(spec[1])
+                values[pos] = spec[1]
             elif tag == "r":
-                _tag, key, version = spec
-                values.append(store.get_at_least(key, version)[1])
+                refs.append(pos)
             elif tag == "d":
                 _tag, key, version, meta, payload = spec
-                values.append(store.put(key, version,
-                                        decode_blob(meta, payload)))
+                values[pos] = store.put(key, version,
+                                        decode_blob(meta, payload))
             elif tag == "f":
                 _tag, _key, meta = spec
-                values.append(alloc_from_meta(meta))
+                values[pos] = alloc_from_meta(meta)
             elif tag == "g":
                 _tag, meta, parts = spec
                 obj = alloc_from_meta(meta)
                 for sl_spec, part_meta, part_payload in parts:
                     land(obj, decode_blob(part_meta, part_payload),
                          slices_from_spec(sl_spec))
-                values.append(obj)
+                values[pos] = obj
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown value spec tag {tag!r}")
+        # References last: one datum passed at two positions ships its
+        # content once, possibly at the later position, and the earlier
+        # reference must wait only on other tasks, never on this one.
+        for pos in refs:
+            _tag, key, version = specs[pos]
+            values[pos] = store.get_at_least(key, version)[1]
         return values
 
     def _run_task(self, msg: dict, sid: str, slot: int, trace: bool,

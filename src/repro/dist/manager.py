@@ -1,7 +1,8 @@
 """Master-side cluster backend: dispatch, residency, placement, recovery.
 
-:class:`ClusterBackend` is the third execution backend, behind the same
-proxy-thread contract as :class:`~repro.mp.executor.ProcessBackend`:
+:class:`ClusterBackend` is the third implementation of
+:class:`repro.core.runtime.Executor`, next to
+:class:`~repro.mp.executor.ProcessBackend`:
 the master keeps the paper's entire task-graph machinery — dependency
 tracker, renaming, scheduler, memory limit — byte-identical, and each
 worker thread becomes a proxy that forwards the task body to a remote
@@ -110,19 +111,22 @@ class _SlotLink:
 
 
 class ClusterBackend:
-    """Executes task bodies on remote node agents (see module docstring)."""
+    """Executes task bodies on remote node agents (see module docstring).
 
-    def __init__(self, runtime):
-        self._runtime = runtime
-        config = runtime.config
+    *config* supplies the agent addresses (``nodes``), the dial timeout,
+    write-through and the trace ring size; counters land in *metrics*;
+    with a *tracer*, agents record events and ship them back.
+    """
+
+    in_process = False
+
+    def __init__(self, config, metrics, tracer=None):
         self._addresses = list(config.nodes or ())
         self._connect_timeout = config.dist_connect_timeout
         self._write_through = bool(config.dist_write_through)
-        self._trace_on = bool(config.trace)
         self._ring_capacity = config.trace_buffer_size
-        self._tracer = runtime.tracer if runtime.tracer else None
-        self.sid = uuid.uuid4().hex[:12]
-        self._residency = ResidencyMap(self.sid)
+        self._tracer = tracer
+        self._metrics = metrics
         self._nodes: list[_Node] = []
         self._by_name: dict[str, _Node] = {}
         #: slot id -> link; index 0 unused (the main thread never
@@ -131,8 +135,6 @@ class ClusterBackend:
         self._death_lock = threading.Lock()
         self._remap_rr = 0
         self._stopped = False
-        self.num_slots = 0
-        metrics = runtime.metrics
         self._m_bytes = metrics.counter("dist.bytes_moved")
         self._m_hits = metrics.counter("dist.cache_hits")
         self._m_misses = metrics.counter("dist.cache_misses")
@@ -145,11 +147,21 @@ class ClusterBackend:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self) -> int:
+        """Dial every agent; return the fleet's advertised slot count.
+
+        Each start is a fresh session (new id, empty residency map), so
+        a runtime restarted after shutdown never trusts stale copies.
+        """
+
         if not self._addresses:
             raise TypeError("backend='cluster' needs at least one node")
         self._stopped = False
-        metrics = self._runtime.metrics
+        self.sid = uuid.uuid4().hex[:12]
+        self._residency = ResidencyMap(self.sid)
+        self._nodes = []
+        self._by_name = {}
+        metrics = self._metrics
         slot = 1
         for index, address in enumerate(self._addresses):
             node = _Node(index, address)
@@ -181,18 +193,18 @@ class ClusterBackend:
             self._g_alive[node.name] = metrics.gauge(
                 "dist.node_alive", node=node.name)
             self._g_alive[node.name].set(1)
-        self.num_slots = slot - 1
-        self._slots = [None] * (self.num_slots + 1)
+        self._slots = [None] * slot
         for node in self._nodes:
             for slot_id in node.slot_ids:
                 self._slots[slot_id] = _SlotLink(
                     slot_id, node, self._open_dispatch(node, slot_id))
+        return slot - 1
 
     def _open_dispatch(self, node: _Node, slot: int):
         sock = connect(node.address, timeout=self._connect_timeout)
         send_frame(sock, {
             "k": "hello", "role": "dispatch", "sid": self.sid,
-            "slot": slot, "trace": self._trace_on,
+            "slot": slot, "trace": self._tracer is not None,
             "ring": self._ring_capacity,
         })
         reply, _ = recv_frame(sock, timeout=self._connect_timeout)
@@ -259,9 +271,6 @@ class ClusterBackend:
         """
 
         link = self._slots[slot]
-        live = self._runtime.live
-        if live is not None:
-            live.notify_dispatch(task, slot)
         values = resolve_call_values(task)
         attempts = 0
         while True:
@@ -660,20 +669,3 @@ class ClusterBackend:
             })
         return out
 
-    @property
-    def worker_pids(self) -> list[Optional[int]]:
-        return [link.node.pid for link in self._slots[1:] if link is not None]
-
-    def nodes_snapshot(self) -> list[dict]:
-        """Telemetry for CLI/debugging: one dict per configured node."""
-
-        totals = self._residency.resident_bytes_by_node()
-        return [
-            {
-                "name": node.name, "address": node.address,
-                "slots": node.slots, "pid": node.pid,
-                "alive": not node.dead, "tasks_run": node.tasks_run,
-                "resident_bytes": totals.get(node.name, 0),
-            }
-            for node in self._nodes
-        ]

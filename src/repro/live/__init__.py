@@ -7,16 +7,16 @@ attachable debugging for the SMPSs runtime:
 * ``SmpssRuntime(live=True)`` installs a dispatch gate (pause /
   resume / step(n) / task-boundary breakpoints) and serves the run as
   a JSON-lines stream of graph deltas over a unix or TCP socket;
-* ``python -m repro.live attach <addr>`` renders the terminal
+* ``python -m repro live attach <addr>`` renders the terminal
   dashboard and drives the gate;
-* ``python -m repro.live replay <recording>`` replays a saved
+* ``python -m repro live replay <recording>`` replays a saved
   :class:`~repro.core.recorder.RecordedProgram` through the very same
   dashboard, with ``step``/``back`` time travel.
 
 See ``docs/observability.md`` ("Live inspection & replay").
 """
 
-from .client import LiveClient, LiveClosed, LiveTimeout
+from .client import LiveClient
 from .dashboard import DashboardState, render
 from .protocol import PROTOCOL_VERSION, parse_address
 from .replay import ReplayEngine
@@ -24,8 +24,6 @@ from .session import LiveSession
 
 __all__ = [
     "LiveClient",
-    "LiveClosed",
-    "LiveTimeout",
     "LiveSession",
     "DashboardState",
     "render",

@@ -2,11 +2,11 @@
 
 Usage::
 
-    python -m repro.live attach /tmp/repro-live-x/live.sock
-    python -m repro.live attach tcp:127.0.0.1:4242 \\
+    python -m repro live attach /tmp/repro-live-x/live.sock
+    python -m repro live attach tcp:127.0.0.1:4242 \\
         --script "state; break spotrf_t; step 5; clear; resume; wait-done"
-    python -m repro.live replay cholesky.recording.json
-    python -m repro.live replay cholesky.recording.json \\
+    python -m repro live replay cholesky.recording.json
+    python -m repro live replay cholesky.recording.json \\
         --script "step 10; render; back 3; run"
 
 ``attach`` connects to a runtime started with ``live=True`` (its bound
@@ -34,7 +34,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .client import LiveClient, LiveClosed, LiveTimeout
+from ..net.client import NetClosed, NetTimeout
+from .client import LiveClient
 from .dashboard import DashboardState, render
 from .replay import ReplayEngine
 
@@ -96,7 +97,7 @@ def _attach_command(client, state, verb, arg, out) -> bool:
 
         try:
             client.wait_for(_done, timeout=120.0)
-        except LiveClosed:
+        except NetClosed:
             pass  # stream ended: the run is over
     elif verb == "report":
         print(state.report(), file=out)
@@ -110,7 +111,7 @@ def _attach_command(client, state, verb, arg, out) -> bool:
 def _run_attach(args, out=sys.stdout) -> int:
     try:
         client = LiveClient(args.address, timeout=args.timeout)
-    except (OSError, LiveClosed) as exc:
+    except (OSError, NetClosed) as exc:
         print(f"cannot attach to {args.address!r}: {exc}", file=sys.stderr)
         return 1
     state = DashboardState()
@@ -129,11 +130,11 @@ def _run_attach(args, out=sys.stdout) -> int:
                     keep_going = _attach_command(
                         client, state, verb, arg, out
                     )
-                except (LiveTimeout, ValueError, RuntimeError) as exc:
+                except (NetTimeout, ValueError, RuntimeError) as exc:
                     print(f"{verb}: {exc}", file=sys.stderr)
                     exit_code = 1
                     break
-                except LiveClosed:
+                except NetClosed:
                     break
                 _pump(client, state, idle=0.1)
                 if not keep_going:
@@ -164,9 +165,9 @@ def _interactive_attach(client, state, out) -> None:
         try:
             if not _attach_command(client, state, verb, arg, out):
                 return
-        except (LiveTimeout, ValueError, RuntimeError) as exc:
+        except (NetTimeout, ValueError, RuntimeError) as exc:
             print(f"{verb}: {exc}", file=out)
-        except LiveClosed:
+        except NetClosed:
             print("(stream ended)", file=out)
             return
         _pump(client, state, idle=0.1)
@@ -238,7 +239,7 @@ def _run_replay(args, out=sys.stdout) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.live",
+        prog="python -m repro live",
         description="Attach to a live run, or replay a recording.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,10 +266,3 @@ def main(argv=None) -> int:
     if args.command == "attach":
         return _run_attach(args)
     return _run_replay(args)
-
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.live", "live")
-    raise SystemExit(main())

@@ -8,22 +8,17 @@ That makes scripted sessions deterministic — there is no background
 reader racing the assertions.
 
 This module only adds the live plane's command verbs (pause/resume/
-step/break/state) and keeps the historical exception names as aliases
-of the shared transport's.
+step/break/state); failures raise the transport's
+:class:`~repro.net.NetTimeout` / :class:`~repro.net.NetClosed`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..net.client import Client, NetClosed, NetTimeout
+from ..net.client import Client
 
-__all__ = ["LiveClient", "LiveTimeout", "LiveClosed"]
-
-#: Historical names: every existing caller catches these; they ARE the
-#: shared transport exceptions, so either spelling works everywhere.
-LiveTimeout = NetTimeout
-LiveClosed = NetClosed
+__all__ = ["LiveClient"]
 
 
 class LiveClient(Client):

@@ -13,7 +13,7 @@ A :class:`LiveSession` is created by ``SmpssRuntime.start()`` when the
   is allowed there);
 * the **event plane** — a publisher thread that drains the deque,
   converts events to graph deltas (:func:`protocol.event_to_delta`),
-  and fans them out through a :class:`~repro.live.server.LiveServer`,
+  and fans them out through a :class:`repro.net.Server`,
   interleaving a metrics snapshot every ``live_snapshot_interval``
   seconds.
 
@@ -39,8 +39,8 @@ from collections import deque
 from typing import Optional
 
 from ..core.scheduler import DispatchGate
+from ..net.server import Server
 from .protocol import PROTOCOL_VERSION, event_to_delta
-from .server import LiveServer
 
 __all__ = ["LiveSession"]
 
@@ -82,7 +82,7 @@ class LiveSession:
 
         runtime.tracer.listener = self._queue.append
 
-        self.server = LiveServer(
+        self.server = Server(
             address,
             self._handle_command,
             hello={
@@ -91,6 +91,7 @@ class LiveSession:
                 "backend": config.backend,
                 "pid": os.getpid(),
             },
+            name="repro-live",
         )
         self._publisher = threading.Thread(
             target=self._publish_loop, name="repro-live-publish", daemon=True
@@ -147,7 +148,7 @@ class LiveSession:
         state.update(
             running=rt._running,
             parked=rt._parked,
-            main_waiting=rt._main_waiting,
+            main_waiting=rt._main_asleep,
             ready=scheduler.ready_count,
             pending=rt.graph.pending_count if rt.graph is not None else 0,
             executed=rt.tasks_executed,

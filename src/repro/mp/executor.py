@@ -1,14 +1,16 @@
 """Master-side process pool: dispatch, death detection, recovery.
 
 The process backend keeps the paper's master/worker split intact: the
-master's :class:`~repro.core.runtime.SmpssRuntime` still owns the
-dependency tracker, the scheduler, renaming, and the memory limit.
-What changes is only *where a task body runs*: each master worker
-thread becomes a **proxy thread** that pops tasks exactly as before
-but forwards the body to a dedicated long-lived worker process over a
+master's :class:`~repro.core.runtime.SmpssRuntime` (or the service
+engine) still owns the dependency tracker, the scheduler, renaming,
+and the memory limit.  What changes is only *where a task body runs*
+— :class:`ProcessBackend` is one implementation of
+:class:`repro.core.runtime.Executor`: each master worker thread
+becomes a **proxy thread** that pops tasks exactly as before but
+forwards the body to a dedicated long-lived worker process over a
 pipe, blocking (GIL released) until the reply.  Completion bookkeeping
 then proceeds on the proxy thread unchanged, so every structural
-feature of the runtime works identically under both backends.
+feature of the runtime works identically under every backend.
 
 Robustness contract (ISSUE: dead-worker recovery):
 
@@ -20,8 +22,8 @@ Robustness contract (ISSUE: dead-worker recovery):
   :class:`~repro.mp.encoding.WorkerLostError`, which the runtime wraps
   in the ordinary :class:`~repro.core.runtime.TaskExecutionError`
   naming the task;
-* deaths and re-dispatches are counted in the runtime's metrics
-  registry (``mp.worker_deaths`` / ``mp.redispatched_tasks``).
+* deaths and re-dispatches are counted in the given metrics registry
+  (``mp.worker_deaths`` / ``mp.redispatched_tasks``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import threading
 from multiprocessing import connection as _mpc
 from typing import Optional
 
+from ..core.config import RuntimeConfig
 from ..core.invocation import resolve_call_values
 from ..core.transfer import (
     PROTOCOL,
@@ -86,24 +89,29 @@ class _Worker:
 
 
 class ProcessBackend:
-    """Executes task bodies in forked worker processes.
+    """Executes task bodies in *workers* forked worker processes.
 
-    Created (and workers forked) in ``SmpssRuntime.start()`` *before*
-    the proxy threads exist and before the runtime is pushed on the api
-    stack — so children start from a quiet interpreter.  Respawns after
-    a death necessarily fork from a threaded master; the worker entry
-    point neutralises all inherited runtime state first thing.
+    Counters land in *metrics*; with a *tracer*, each worker records
+    its own events into a ring of *ring_size* and they are ingested on
+    the proxy thread.  Workers are forked by :meth:`start`, which the
+    runtime calls *before* its proxy threads exist and before it is
+    pushed on the api stack — so children start from a quiet
+    interpreter.  Respawns after a death necessarily fork from a
+    threaded master; the worker entry point neutralises all inherited
+    runtime state first thing.
     """
 
-    def __init__(self, runtime):
-        self._runtime = runtime
+    in_process = False
+    placement = None
+
+    def __init__(self, workers: int, metrics, tracer=None,
+                 ring_size: int = RuntimeConfig.trace_buffer_size):
+        self._num_workers = workers
         self._ctx = multiprocessing.get_context("fork")
-        self._trace_on = bool(runtime.config.trace)
-        self._ring_capacity = runtime.config.trace_buffer_size
-        self._tracer = runtime.tracer if runtime.tracer else None
+        self._ring_capacity = ring_size
+        self._tracer = tracer
         self._workers: list[_Worker] = []
         self._spawn_lock = threading.Lock()
-        metrics = runtime.metrics
         self._m_deaths = metrics.counter("mp.worker_deaths")
         self._m_redispatch = metrics.counter("mp.redispatched_tasks")
         self._stopped = False
@@ -111,17 +119,21 @@ class ProcessBackend:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self, num_workers: int) -> None:
+    def start(self) -> int:
         self._stopped = False
-        self._workers = [_Worker(slot) for slot in range(1, num_workers + 1)]
+        self._workers = [
+            _Worker(slot) for slot in range(1, self._num_workers + 1)
+        ]
         for worker in self._workers:
             self._spawn(worker)
+        return self._num_workers
 
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker.slot, self._trace_on, self._ring_capacity),
+            args=(child_conn, worker.slot, self._tracer is not None,
+                  self._ring_capacity),
             name=f"repro-mp-worker-{worker.slot}",
             daemon=True,
         )
@@ -216,12 +228,6 @@ class ProcessBackend:
         """
 
         worker = self._workers[slot - 1]
-        live = self._runtime.live
-        if live is not None:
-            # The worker-side task_start only ships back *with* the
-            # reply; without this, a live dashboard would never see a
-            # task leave the queue until it was already done.
-            live.notify_dispatch(task, slot)
         values = resolve_call_values(task)
         try:
             enc_values = encode_values(task, values)
@@ -283,6 +289,12 @@ class ProcessBackend:
                 return RemoteTaskError(*err), duration
             apply_writebacks(wb_specs, wb_values, values)
             return None, duration
+
+    def fetch_version(self, version) -> None:
+        """No-op: written values land in master storage with the reply."""
+
+    def barrier_sync(self) -> None:
+        """No-op: nothing stays behind in a worker process."""
 
     def _try_respawn(self, worker: _Worker) -> None:
         """Best-effort revival so later tasks on this slot can proceed."""

@@ -14,9 +14,9 @@ the Python reproduction, richer and cheaper:
 * exporters — Chrome trace-event JSON (Perfetto-loadable) and
   Graphviz DOT with the critical path highlighted;
 * the critical-path / utilisation analyzer behind
-  ``Runtime.report()`` and ``python -m repro.obs report trace.json``;
+  ``Runtime.report()`` and ``python -m repro obs report trace.json``;
 * the differential analyzer (:mod:`repro.obs.diff`) behind
-  ``python -m repro.obs diff A.trace.json B.trace.json`` — run-to-run
+  ``python -m repro obs diff A.trace.json B.trace.json`` — run-to-run
   makespan-delta attribution with bootstrap CIs, critical-path
   composition diffs, and side-by-side Chrome-trace/DOT exports;
 * the always-on health layer (:mod:`repro.obs.health`,
@@ -24,7 +24,7 @@ the Python reproduction, richer and cheaper:
   blocked-task explainer, a bounded flight recorder dumped on anomaly
   or ``SIGUSR1`` (:mod:`repro.obs.flightrec`), and a Prometheus text
   exposition endpoint (:mod:`repro.obs.exposition`,
-  ``python -m repro.obs serve`` / ``scrape``).
+  ``python -m repro obs serve`` / ``scrape``).
 
 See ``docs/observability.md`` for the metrics catalogue and usage,
 and ``docs/benchmarking.md`` for the baseline/compare workflow built

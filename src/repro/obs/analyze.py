@@ -14,7 +14,7 @@ overhead wall) are computed here directly:
 
 Works over a live :class:`~repro.core.tracing.Tracer` (threaded or
 virtual time) or over an exported Chrome trace JSON (the
-``python -m repro.obs report trace.json`` path), so post-mortem
+``python -m repro obs report trace.json`` path), so post-mortem
 analysis does not need the producing process.
 """
 
@@ -195,7 +195,7 @@ def analyze_tracer(
 
 
 # ---------------------------------------------------------------------------
-# Chrome trace loading (the ``python -m repro.obs report`` path)
+# Chrome trace loading (the ``python -m repro obs report`` path)
 # ---------------------------------------------------------------------------
 
 _INSTANT_NAME_TO_KIND = {
@@ -432,10 +432,9 @@ def _backend_health_lines(runtime, snap: dict) -> list[str]:
     deaths = snap.get("mp.worker_deaths")
     redispatched = snap.get("mp.redispatched_tasks")
     if deaths is not None or redispatched is not None:
-        mp = getattr(runtime, "_mp", None)
+        liveness = runtime.executor.liveness()
         alive_bit = ""
-        if mp is not None:
-            liveness = mp.liveness()
+        if liveness:
             alive = sum(1 for w in liveness if w["alive"])
             alive_bit = f"  workers alive: {alive}/{len(liveness)}"
         lines.append(

@@ -2,17 +2,17 @@
 
 Usage::
 
-    python -m repro.obs report trace.json             # full text report
-    python -m repro.obs report trace.json --threads 4
-    python -m repro.obs diff A.trace.json B.trace.json
-    python -m repro.obs diff A.trace.json B.trace.json --dot d.dot \\
+    python -m repro obs report trace.json             # full text report
+    python -m repro obs report trace.json --threads 4
+    python -m repro obs diff A.trace.json B.trace.json
+    python -m repro obs diff A.trace.json B.trace.json --dot d.dot \\
         --chrome side_by_side.json
-    python -m repro.obs diff A.metrics.json B.metrics.json
-    python -m repro.obs diff figA.json figB.json
-    python -m repro.obs serve tcp:0.0.0.0:9184                # live
-    python -m repro.obs serve tcp:0.0.0.0:9184 --metrics-json saved.json
-    python -m repro.obs scrape tcp:127.0.0.1:9184             # one page
-    python -m repro.obs scrape tcp:127.0.0.1:9184 --health    # findings
+    python -m repro obs diff A.metrics.json B.metrics.json
+    python -m repro obs diff figA.json figB.json
+    python -m repro obs serve tcp:0.0.0.0:9184                # live
+    python -m repro obs serve tcp:0.0.0.0:9184 --metrics-json saved.json
+    python -m repro obs scrape tcp:127.0.0.1:9184             # one page
+    python -m repro obs scrape tcp:127.0.0.1:9184 --health    # findings
 
 ``diff`` auto-detects what the two files are: Chrome trace JSONs get
 the full makespan-delta attribution (per-task-type shifts with
@@ -173,7 +173,7 @@ def _run_scrape(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs",
+        prog="python -m repro obs",
         description="Analyze and diff exported SMPSs traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,10 +262,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "diff":
         return _run_diff(args)
     return 1
-
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.obs", "obs")
-    raise SystemExit(main())

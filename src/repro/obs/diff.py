@@ -16,7 +16,7 @@ module is that workflow over the artifacts the repo already produces:
 * **metrics diff** (`diff_metrics`) — two ``*.metrics.json`` snapshots
   become per-series deltas (queue depths, analysis overhead, renames);
 * **task-graph diff** (`diff_task_graphs`) — a ``repro.staticgraph``
-  skeleton (``python -m repro.check flow --format json``) against a
+  skeleton (``python -m repro flow --format json``) against a
   ``repro.recording`` document (or any two of either) becomes a
   task/edge/stream delta: the static analyser's predicted graph held
   against the one the recording runtime actually built;
@@ -500,7 +500,7 @@ class GraphDiff:
 
 
 def _graph_doc(doc: dict) -> dict:
-    # `python -m repro.check flow --format json` wraps the skeleton in
+    # `python -m repro flow --format json` wraps the skeleton in
     # {"findings": [...], "graph": {...}}; unwrap transparently.
     inner = doc.get("graph")
     if isinstance(inner, dict) and "tasks" in inner:
@@ -512,7 +512,7 @@ def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
     """Diff two task-graph documents — static skeleton and/or recording.
 
     Accepts any mix of ``repro.staticgraph`` documents (from
-    ``python -m repro.check flow --format json``, wrapper tolerated)
+    ``python -m repro flow --format json``, wrapper tolerated)
     and ``repro.recording`` documents
     (:meth:`RecordedProgram.to_json_dict`).  The two formats share the
     ``tasks``/``edges``/``stream`` array layout precisely so that the

@@ -8,7 +8,7 @@ the same socket:
 
 * the JSON-lines protocol every other live surface speaks —
   ``{"cmd": "metrics", "seq": 1}`` answered with the text in the ack
-  (what :func:`scrape` and ``python -m repro.obs scrape`` use);
+  (what :func:`scrape` and ``python -m repro obs scrape`` use);
 * a plain HTTP ``GET`` — the server sniffs the first bytes of a
   connection, so ``curl http://host:port/metrics`` (or a Prometheus
   scrape target) works against the same port.  ``GET /health`` returns
@@ -214,7 +214,7 @@ class ExpositionServer:
     runtime's mirrored gauges and the health monitor's utilization
     gauges first), an explicit *registry*, or — with neither — the
     process-wide default registry.  A *snapshot* dict serves a saved
-    metrics file instead (the ``python -m repro.obs serve`` offline
+    metrics file instead (the ``python -m repro obs serve`` offline
     mode).
     """
 

@@ -32,10 +32,9 @@ import os
 import tempfile
 import time
 from collections import deque
-from types import SimpleNamespace
 from typing import Optional
 
-from ..core.tracing import EventKind, TraceEvent
+from ..core.tracing import EventKind, TraceEvent, Tracer
 
 __all__ = ["FlightRecorder"]
 
@@ -155,9 +154,10 @@ class FlightRecorder:
         stem = f"flight-{os.getpid()}-{self._dump_seq}"
         paths = {"reason": reason, "directory": directory}
 
-        tracer = getattr(runtime, "tracer", None) if runtime else None
-        source = tracer if (tracer and getattr(tracer, "events", None)) \
-            else SimpleNamespace(events=self.events())
+        source = getattr(runtime, "tracer", None) if runtime else None
+        if not (source and getattr(source, "events", None)):
+            source = Tracer()
+            source.events = self.events()
         # Every file lands via write-to-temp + rename, so a concurrent
         # reader (or a monitoring agent watching the directory) never
         # sees a half-written document.

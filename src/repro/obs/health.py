@@ -21,8 +21,8 @@ module centralises that logic:
   decision behind each version, and the task (and worker) currently
   holding each datum.
 * :func:`stalled_error` — the single source of the "runtime stalled"
-  error both :meth:`SmpssRuntime._main_help` and ``_main_wait`` now
-  raise, enriched with the same wait chains.
+  error :meth:`SmpssRuntime._main_help` raises, enriched with the same
+  wait chains.
 
 Detection thresholds are class attributes on :class:`HealthMonitor`
 (periods, not seconds, so they scale with ``health_interval``); the
@@ -478,9 +478,8 @@ class HealthMonitor:
             "paused": paused,
             "last_completion_age": age,
         }
-        mp = getattr(runtime, "_mp", None)
-        if mp is not None:
-            liveness = mp.liveness()
+        liveness = runtime.executor.liveness()
+        if liveness:
             alive = sum(1 for w in liveness if w["alive"])
             runtime.metrics.gauge("mp.workers_alive").set(alive)
             sample["mp_workers_alive"] = alive

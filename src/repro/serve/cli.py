@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.serve tcp:127.0.0.1:7070
-    python -m repro.serve tcp:0.0.0.0:0 --workers 8 --backend processes
-    python -m repro.serve /tmp/repro-serve.sock --max-inflight 4
+    python -m repro serve tcp:127.0.0.1:7070
+    python -m repro serve tcp:0.0.0.0:0 --workers 8 --backend processes
+    python -m repro serve /tmp/repro-serve.sock --max-inflight 4
 
 The daemon prints its bound address (useful with an ephemeral port 0)
 and serves until Ctrl-C.  ``curl http://HOST:PORT/metrics`` and
@@ -21,7 +21,7 @@ from .engine import ServiceLimits
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
+        prog="python -m repro serve",
         description="Serve task-graph submissions on one shared fleet.",
     )
     parser.add_argument(
@@ -84,7 +84,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         daemon.close()
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -288,7 +288,7 @@ class ServeDaemon:
         state = self.engine.state()
         state["uptime_seconds"] = time.monotonic() - self._t0
         state["service"] = "repro.serve"
-        liveness = self.engine.liveness()
+        liveness = self.engine.executor.liveness()
         state["worker_liveness"] = liveness
         state["workers_alive"] = sum(1 for w in liveness if w.get("alive"))
         return state

@@ -1,6 +1,8 @@
 """The shared worker fleet behind the task-graph service.
 
-One engine owns W workers (thread or mp backend) and executes *jobs*:
+One engine owns W workers and one executor
+(:class:`repro.core.runtime.Executor`: in-process or forked worker
+processes) and executes *jobs*:
 whole task-graph submissions, each analysed into a private
 :class:`~repro.core.sharding.GraphDomain` whose lock stripe is picked
 by datum-address hash.  Independent tenants — and independent data
@@ -27,11 +29,12 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Callable, Optional
 
-from ..core.dependencies import TrackerConfig
-from ..core.invocation import plan_for, resolve_call_values
+# resolve_call_values is unused here but kept importable under this
+# module's name: perfbench/layers.py patches it in every executor home.
+from ..core.invocation import plan_for, resolve_call_values  # noqa: F401
+from ..core.runtime import InlineExecutor
 from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
 from ..core.transfer import format_remote_error
 from ..obs.metrics import MetricsRegistry
@@ -131,7 +134,6 @@ class ServeEngine:
         backend: str = "threads",
         limits: Optional[ServiceLimits] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracker_config: Optional[TrackerConfig] = None,
     ):
         if backend not in ("threads", "processes"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -140,7 +142,6 @@ class ServeEngine:
         self.backend = backend
         self.num_workers = workers
         self.shards = ShardSet(shards)
-        self._tracker_config = tracker_config or TrackerConfig()
         self._definitions: dict[tuple, object] = {}
         self._tenants: dict[str, _TenantState] = {}
         self._jobs: set[GraphJob] = set()
@@ -151,18 +152,13 @@ class ServeEngine:
         self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
         self.metrics.gauge("serve.workers").set(workers)
         self.metrics.gauge("serve.shards").set(shards)
-        # ProcessBackend duck-types its owning runtime: it only reads
-        # config.trace/trace_buffer_size, tracer, live, and metrics —
-        # the engine presents that surface directly.
-        self.config = SimpleNamespace(trace=False, trace_buffer_size=64)
-        self.tracer = None
-        self.live = None
-        self._mp = None
         if backend == "processes":
             from ..mp.executor import ProcessBackend
 
-            self._mp = ProcessBackend(self)
-            self._mp.start(workers)
+            self.executor = ProcessBackend(workers, self.metrics)
+        else:
+            self.executor = InlineExecutor(workers, threading.local())
+        self.executor.start()
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, args=(i,),
@@ -282,8 +278,7 @@ class ServeEngine:
             raise
 
         domain = GraphDomain(
-            self.shards.shard_for(id(obj) for obj in data.values()),
-            tracker_config=self._tracker_config,
+            self.shards.shard_for(id(obj) for obj in data.values())
         )
         job = GraphJob(tenant, domain, data, nbytes, len(tasks))
         tenant.m_submitted.inc()
@@ -345,17 +340,10 @@ class ServeEngine:
                 skip = job.cancelled
             failure: Optional[BaseException] = None
             if not skip:
-                if self._mp is not None:
-                    try:
-                        failure, _duration = self._mp.run(task, idx + 1)
-                    except BaseException as exc:  # noqa: BLE001
-                        failure = exc
-                else:
-                    try:
-                        values = resolve_call_values(task)
-                        task.definition.func(*values)
-                    except BaseException as exc:  # noqa: BLE001
-                        failure = exc
+                try:
+                    failure, _duration = self.executor.run(task, idx + 1)
+                except BaseException as exc:  # noqa: BLE001
+                    failure = exc
             self._task_done(job, task, failure=failure, skipped=skip)
 
     def _task_done(self, job: GraphJob, task, failure, skipped: bool) -> None:
@@ -459,8 +447,7 @@ class ServeEngine:
             self._cv.notify_all()
         for thread in self._threads:
             thread.join(timeout=10.0)
-        if self._mp is not None:
-            self._mp.stop()
+        self.executor.stop()
         # Fail whatever never ran so no waiter hangs on a dead fleet.
         for job, _task in leftovers:
             with self._cv:
@@ -477,21 +464,6 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def liveness(self) -> list[dict]:
-        """Per-worker liveness for ``/health``.
-
-        Under the process backend this is the mp backend's own per-slot
-        view (pid, OS-level alive, respawn generation); under threads
-        it reports each worker thread's :meth:`Thread.is_alive`.
-        """
-
-        if self._mp is not None:
-            return self._mp.liveness()
-        return [
-            {"slot": i + 1, "alive": thread.is_alive()}
-            for i, thread in enumerate(self._threads)
-        ]
-
     def state(self) -> dict:
         with self._lock:
             tenants = {

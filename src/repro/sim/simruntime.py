@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from ..core import api as _api
 from ..core.config import RuntimeConfig, resolve_config
-from ..core.dependencies import DependencyTracker, TrackerConfig
+from ..core.dependencies import DependencyTracker
 from ..core.graph import TaskGraph
 from ..core.invocation import instantiate
 from ..core.task import TaskInstance, TaskState, reset_task_ids
@@ -56,10 +56,7 @@ class SimulatedRuntime:
         self.graph = TaskGraph(keep_finished=self.config.keep_graph)
         self.tracker = DependencyTracker(
             self.graph,
-            config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
+            config=self.config.tracker_config(),
         )
         if self.config.trace and tracer is None:
             from ..core.tracing import ThreadLocalTracer

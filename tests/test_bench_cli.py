@@ -46,7 +46,7 @@ def fake_figure(monkeypatch):
 
 
 def _main(argv):
-    from repro.bench.__main__ import main
+    from repro.bench.cli import main
 
     return main(argv)
 

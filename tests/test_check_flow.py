@@ -30,7 +30,7 @@ from repro.check import (
     flow_paths,
     flow_source,
 )
-from repro.check.__main__ import main as check_main
+from repro.check.cli import main as check_main
 
 pytestmark = pytest.mark.flow
 

@@ -1,9 +1,8 @@
-"""The unified ``python -m repro`` front door (PR 9 satellite).
+"""The unified ``python -m repro`` front door.
 
-One dispatcher routes to every tool; the historical per-module forms
-stay working as aliases.  These tests call the in-process ``main()``
-so they are cheap, plus one subprocess check that the alias note lands
-on stderr without perturbing stdout or the exit code.
+One dispatcher routes to every tool; the per-module ``python -m
+repro.X`` forms are gone.  These tests call the in-process ``main()``
+so they are cheap, plus subprocess checks of the real entry point.
 """
 
 import subprocess
@@ -22,7 +21,8 @@ class TestDispatcher:
     def test_help_exits_zero(self, capsys):
         assert main(["help"]) == 0
         out = capsys.readouterr().out
-        for command in ("lint", "flow", "obs", "bench", "live", "serve"):
+        for command in ("lint", "flow", "obs", "bench", "live", "serve",
+                        "dist", "compile"):
             assert command in out
 
     def test_version(self, capsys):
@@ -70,14 +70,22 @@ class TestDispatcher:
 
 
 class TestLegacyAliases:
-    def test_legacy_form_notes_and_still_works(self):
+    def test_per_module_form_fails_loudly(self):
+        for module in ("repro.check", "repro.live", "repro.compiler"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "--help"],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode != 0, module
+            assert "cannot be directly executed" in proc.stderr, module
+
+    def test_unified_check_command_runs(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.check", "rules"],
+            [sys.executable, "-m", "repro", "check", "rules"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
-        assert "python -m repro" in proc.stderr  # the alias note
-        assert "input-write" in proc.stdout  # behaviour unchanged
+        assert "input-write" in proc.stdout
 
     def test_unified_form_has_no_note(self):
         proc = subprocess.run(

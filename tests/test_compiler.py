@@ -228,40 +228,40 @@ class TestExecution:
         assert (c == 2.0).all()
 
     def test_cli_translate(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.__main__ import main
 
         path = tmp_path / "prog.py"
         path.write_text(SIMPLE)
-        assert main([str(path)]) == 0
+        assert main(["compile", str(path)]) == 0
         out = capsys.readouterr().out
         assert "@__css_task__" in out
 
     def test_cli_output_file(self, tmp_path):
-        from repro.compiler.__main__ import main
+        from repro.__main__ import main
 
         src = tmp_path / "prog.py"
         src.write_text(SIMPLE)
         dst = tmp_path / "out.py"
-        assert main([str(src), "-o", str(dst)]) == 0
+        assert main(["compile", str(src), "-o", str(dst)]) == 0
         assert "@__css_task__" in dst.read_text()
 
     def test_cli_error_reporting(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.__main__ import main
 
         path = tmp_path / "bad.py"
         path.write_text("#pragma css task nope(a)\ndef f(a):\n    pass\n")
-        assert main([str(path)]) == 1
+        assert main(["compile", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
 
 class TestCliErrorPaths:
-    """``python -m repro.compiler`` must fail like a compiler: exit
+    """``python -m repro compile`` must fail like a compiler: exit
     code 1, message on stderr, and a faithful file:line location."""
 
     def _main(self):
-        from repro.compiler.__main__ import main
+        from repro.__main__ import main
 
-        return main
+        return lambda argv: main(["compile", *argv])
 
     def test_malformed_pragma_exit_code_and_line(self, tmp_path, capsys):
         path = tmp_path / "bad.py"

@@ -38,7 +38,7 @@ class TestAppRunners:
 
 class TestCompilerRun:
     def test_cli_run_mode(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.__main__ import main
 
         path = tmp_path / "prog.py"
         path.write_text(
@@ -49,7 +49,7 @@ class TestCompilerRun:
             "if __name__ == '__main__':\n"
             "    show(42)\n"
         )
-        assert main([str(path), "--run"]) == 0
+        assert main(["compile", str(path), "--run"]) == 0
         assert "value 42" in capsys.readouterr().out
 
 

@@ -226,7 +226,7 @@ class TestResidencyCache:
             for _ in range(3):
                 incr_t(a)  # renamed clones come and go
             rt.barrier()
-            residency = rt._cluster._residency
+            residency = rt.executor._residency
             for entry in residency.entries():
                 assert entry.is_base
                 assert entry.obj is a
@@ -336,7 +336,7 @@ class TestLifecycle:
 
     def test_liveness_surface(self, agents):
         with cluster(agents) as rt:
-            live = rt._mp.liveness()
+            live = rt.executor.liveness()
             assert len(live) == 4
             assert all(w["alive"] for w in live)
             assert {w["node"] for w in live} == {"n0", "n1"}

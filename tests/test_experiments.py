@@ -120,7 +120,7 @@ class TestFigureExports:
         assert "Figure X" in txt_path.read_text()
 
     def test_cli_save(self, tmp_path, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["fig12", "--quick", "--save", str(tmp_path)]) == 0
         assert (tmp_path / "fig12.csv").exists()

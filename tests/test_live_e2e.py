@@ -224,7 +224,7 @@ class TestReplayEquivalence:
 class TestCliSmoke:
     def test_attach_script_drives_a_real_run(self, tmp_path):
         """The documented CI smoke: runtime in one process, the
-        ``python -m repro.live attach --script ...`` CLI in another."""
+        ``python -m repro live attach --script ...`` CLI in another."""
 
         driver = tmp_path / "instrumented.py"
         driver.write_text(
@@ -253,7 +253,7 @@ class TestCliSmoke:
             address = run.stdout.readline().strip()
             assert address.startswith("tcp:")
             attach = subprocess.run(
-                [sys.executable, "-m", "repro.live", "attach", address,
+                [sys.executable, "-m", "repro", "live", "attach", address,
                  "--script",
                  "state; break spotrf_t; step 5; clear; resume; "
                  "wait-done; quit"],
@@ -274,7 +274,7 @@ class TestCliSmoke:
         path = tmp_path / "chol.recording.json"
         program.save(str(path))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.live", "replay", str(path),
+            [sys.executable, "-m", "repro", "live", "replay", str(path),
              "--threads", "3",
              "--script", "step 10; back 3; run; report; quit"],
             capture_output=True, text=True, timeout=60,

@@ -216,12 +216,13 @@ class TestServerFraming:
         acks hang commands, lost deltas leave gaps)."""
 
         from repro.live.client import LiveClient
-        from repro.live.server import LiveServer
+        from repro.net import Server
 
-        server = LiveServer(
+        server = Server(
             "tcp:127.0.0.1:0",
             lambda command: {"cmd": command.get("cmd")},
             hello={"version": 1},
+            name="repro-live",
         )
         total = 3000
         try:

@@ -409,7 +409,7 @@ class TestTraceMerge:
 class TestShutdown:
     def test_no_worker_processes_leak(self):
         with SmpssRuntime(num_workers=2, backend="processes") as rt:
-            pids = list(rt._mp.worker_pids)
+            pids = list(rt.executor.worker_pids)
             assert len(pids) == 2
         for pid in pids:
             with pytest.raises(OSError):
@@ -419,7 +419,7 @@ class TestShutdown:
         pids = []
         with pytest.raises(RuntimeError, match="boom"):
             with SmpssRuntime(num_workers=2, backend="processes") as rt:
-                pids = list(rt._mp.worker_pids)
+                pids = list(rt.executor.worker_pids)
                 raise RuntimeError("boom")
         for pid in pids:
             with pytest.raises(OSError):

@@ -1,11 +1,10 @@
 """repro.net: the shared transport every networked surface rides on.
 
-The live/health suites already exercise the transport end to end
-through their wrappers; this file pins the extraction contract itself —
-the wrapper classes ARE the shared ones, the historical import paths
-still resolve, and the generic Server/Client pair works standalone
-(including deferred-hello servers, which no wrapper exercises
-directly).
+The live/health suites already exercise the transport end to end;
+this file pins the extraction contract itself — the live client IS a
+net client, the wire helpers are shared, and the generic Server/Client
+pair works standalone (including deferred-hello servers, which the
+live plane never exercises directly).
 """
 
 import threading
@@ -13,27 +12,16 @@ import threading
 import pytest
 
 import repro.net as net
-from repro.net import Client, NetClosed, NetTimeout, Server
+from repro.net import Client, NetClosed, Server
 
 pytestmark = pytest.mark.live
 
 
 class TestExtractionContract:
-    def test_live_server_is_a_net_server(self):
-        from repro.live.server import LiveServer
-
-        assert issubclass(LiveServer, Server)
-
     def test_live_client_is_a_net_client(self):
         from repro.live.client import LiveClient
 
         assert issubclass(LiveClient, Client)
-
-    def test_live_exceptions_are_net_exceptions(self):
-        from repro.live.client import LiveClosed, LiveTimeout
-
-        assert LiveTimeout is NetTimeout
-        assert LiveClosed is NetClosed
 
     def test_wire_helpers_are_shared(self):
         import repro.live.protocol as live_protocol

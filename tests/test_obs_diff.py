@@ -256,7 +256,7 @@ class TestGraphDiff:
         assert diff.kind_changes == [(1, 2, "true", "anti")]
 
     def test_flow_cli_wrapper_unwrapped(self):
-        # `python -m repro.check flow --format json` wraps the skeleton.
+        # `python -m repro flow --format json` wraps the skeleton.
         wrapped = {"findings": [], "graph": _static_doc()}
         diff = diff_task_graphs(wrapped, _recording_doc())
         assert diff.identical
@@ -287,7 +287,7 @@ class TestDiffCli:
         return str(a), str(b)
 
     def test_trace_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, b = self._write_traces(tmp_path)
         assert main(["diff", a, b, "--boot", "100"]) == 0
@@ -296,7 +296,7 @@ class TestDiffCli:
         assert "entered the path" in out
 
     def test_trace_diff_cli_exports(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, b = self._write_traces(tmp_path)
         dot = tmp_path / "diff.dot"
@@ -307,7 +307,7 @@ class TestDiffCli:
         assert json.loads(chrome.read_text())["otherData"]["runs"]
 
     def test_metrics_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a = tmp_path / "a.metrics.json"
         b = tmp_path / "b.metrics.json"
@@ -317,7 +317,7 @@ class TestDiffCli:
         assert "steals" in capsys.readouterr().out
 
     def test_figure_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         fig = FigureResult("figX", "t", "threads", "Gflops", [1, 2])
         fig.add("SMPSs", [1.0, 2.0])
@@ -330,7 +330,7 @@ class TestDiffCli:
         assert "figure diff" in capsys.readouterr().out
 
     def test_mismatched_kinds_rejected(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, _ = self._write_traces(tmp_path)
         fig = tmp_path / "fig.json"
@@ -338,13 +338,13 @@ class TestDiffCli:
         assert main(["diff", a, str(fig)]) == 1
 
     def test_missing_file(self, tmp_path):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         assert main(["diff", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json")]) == 1
 
     def test_graph_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a = tmp_path / "static.json"
         b = tmp_path / "recorded.json"

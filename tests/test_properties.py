@@ -6,8 +6,9 @@ any program — any mix of input/output/inout accesses over any aliasing
 pattern, with renaming firing or not depending on timing.
 
 Hypothesis generates random straight-line task programs over a small
-pool of arrays and checks threaded-parallel == sequential, with and
-without renaming, plus region programs over random intervals.
+pool of arrays and checks parallel == sequential — on threads,
+processes and a two-agent localhost cluster — with and without
+renaming, plus region programs over random intervals.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SmpssRuntime, css_task
 from repro.core.recorder import RecordingRuntime
+from repro.dist import AgentServer
 
 # ---------------------------------------------------------------------------
 # A tiny task vocabulary with distinct directionality signatures.
@@ -89,16 +91,36 @@ def run_sequential(program):
     return pool_snapshot(pool)
 
 
+@pytest.fixture(scope="module")
+def agent_addresses():
+    """Two in-process localhost agents, one slot each."""
+
+    agents = [AgentServer("tcp:127.0.0.1:0", slots=1).start()
+              for _ in range(2)]
+    try:
+        yield [agent.address for agent in agents]
+    finally:
+        for agent in agents:
+            agent.close()
+
+
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(program=program_strategy)
-def test_threaded_equals_sequential(program):
+@given(
+    program=program_strategy,
+    backend=st.sampled_from(["threads", "processes", "cluster"]),
+)
+def test_threaded_equals_sequential(program, backend, agent_addresses):
     expected = run_sequential(program)
     pool = fresh_pool()
-    with SmpssRuntime(num_workers=3) as rt:
+    if backend == "cluster":
+        runtime = SmpssRuntime(backend="cluster", nodes=agent_addresses)
+    else:
+        runtime = SmpssRuntime(num_workers=3, backend=backend)
+    with runtime as rt:
         run_program(program, pool)
         rt.barrier()
     for got, want in zip(pool, expected):
