@@ -69,7 +69,7 @@ def test_scheduler_push_pop(benchmark):
             for _ in range(512)
         ]
         for i, t in enumerate(tasks):
-            scheduler.push_unlocked(t, thread=i % 8)
+            scheduler.push_ready_batch([t], i % 8)
         popped = 0
         for i in range(512):
             if scheduler.pop(i % 8) is not None:
@@ -102,7 +102,7 @@ def test_null_tracer_overhead_under_five_percent():
         ]
         for rounds in range(50):
             for i, t in enumerate(tasks):
-                scheduler.push_unlocked(t, thread=i % 8)
+                scheduler.push_ready_batch([t], i % 8)
             for i in range(512):
                 scheduler.pop(i % 8)
 
@@ -280,7 +280,7 @@ def test_live_gate_detached_overhead_under_five_percent():
         ]
         for rounds in range(50):
             for i, t in enumerate(tasks):
-                scheduler.push_unlocked(t, thread=i % 8)
+                scheduler.push_ready_batch([t], i % 8)
             for i in range(512):
                 scheduler.pop(i % 8)
 

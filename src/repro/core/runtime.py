@@ -32,6 +32,11 @@ remote executor its help would serialise the proxies on the master
 GIL, so it waits for completions instead, keeping the paper's
 blocking/unblocking semantics.
 
+The worker threads, their dispatch loop and the run-complete-release
+step are :class:`repro.core.engine.Engine`, which the task-graph
+service runs on too; this module adds submission, analysis, the main
+thread's help at the blocking conditions, and the barrier.
+
 Locking discipline (the fast-path submission engine):
 
 * ``_tracker_lock`` serialises the dependency subsystem — tracker
@@ -59,6 +64,7 @@ from . import api as _api
 from .config import RuntimeConfig as _RuntimeConfig
 from .config import resolve_config
 from .dependencies import DependencyTracker
+from .engine import Engine
 from .graph import TaskGraph
 from .invocation import plan_for, resolve_call_values
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
@@ -177,7 +183,7 @@ class InlineExecutor:
         pass
 
 
-class SmpssRuntime:
+class SmpssRuntime(Engine):
     """Threaded execution backend; also the user-facing entry point.
 
     Usage::
@@ -207,6 +213,7 @@ class SmpssRuntime:
                     "given both positionally and as a keyword"
                 )
             overrides["num_workers"] = num_workers
+        super().__init__()
         self.config = resolve_config(config, overrides, runtime="SmpssRuntime")
         if self.config.backend != "cluster":
             # Cluster fleets are sized by the agents' advertised slots
@@ -233,40 +240,15 @@ class SmpssRuntime:
         self._m_ready_depth = self.metrics.histogram("ready_queue_depth")
         self.graph: TaskGraph = None  # type: ignore[assignment]
         self.tracker: DependencyTracker = None  # type: ignore[assignment]
-        self.scheduler = None
-        self._threads: list[threading.Thread] = []
         #: Dependency-subsystem lock: tracker analysis + graph completion.
         self._tracker_lock = threading.Lock()
-        #: Scheduler lock: ready lists, running count, wakeup traffic.
-        #: Two conditions share it so wakeups are targeted — workers
-        #: sleep on ``_sched_cv`` (woken ``notify(k)`` per batch of k
-        #: released tasks), the main thread sleeps on ``_main_cv``
-        #: (woken once per completion, and only while actually waiting,
-        #: because its blocking predicates — barrier, window, memory
-        #: limit, ``wait_for`` — can flip on any completion).
-        self._sched_lock = threading.Lock()
-        self._sched_cv = threading.Condition(self._sched_lock)
-        self._main_cv = threading.Condition(self._sched_lock)
-        self._main_asleep = False
-        self._running = 0
-        #: Worker threads currently blocked in ``cv.wait()`` (the live
-        #: dashboard's "parked" count; main-thread waiting is the
-        #: separate ``_main_asleep`` flag).
-        self._parked = 0
-        #: Per-thread task currently executing (``None`` when idle).
-        #: Written only by the owning thread; readers (live snapshots)
-        #: take a racy but self-consistent-enough glance.
-        self._current: list = []
         #: repro.live.LiveSession when config.live, else None.
         self.live = None
         #: repro.obs.health.HealthMonitor when config.health, else None.
         self.health = None
         #: The health monitor's flight recorder (``None`` when health is
-        #: off): the completion path appends one plain tuple per task,
-        #: under the scheduler lock it already holds.
+        #: off): the completion path appends one plain tuple per task.
         self._flight = None
-        self._stop = False
-        self._failure: Optional[TaskExecutionError] = None
         self._started = False
         self.tasks_executed = 0
         #: repro.check.Sanitizer when config.sanitize, else None.
@@ -283,7 +265,6 @@ class SmpssRuntime:
         #: so task calls made from inside tasks execute inline ("SMPSs
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
-        #: Where task bodies run (see :class:`Executor`).
         self.executor: Executor = self._make_executor()
 
     def _make_executor(self) -> Executor:
@@ -337,16 +318,13 @@ class SmpssRuntime:
             raise
         self.tracker.residency_fetch = executor.fetch_version
         num_threads = self.config.num_workers + 1  # + the main thread
-        self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
-        self.scheduler.placement = executor.placement
+        self._reset_dispatch(
+            self.config.scheduler_factory(num_threads, tracer=self.tracer)
+        )
         # Per-submission constants, hoisted out of the hot loop.
         self._constants = self.config.constants
         self._max_pending = self.config.max_pending_tasks
         self._mem_limit = self.config.memory_limit_bytes
-        self._stop = False
-        self._failure = None
-        self._current = [None] * num_threads
-        self._parked = 0
         if self.config.live:
             # Imported here, not at module level: live sits above core.
             # Started after the executor's fork (the server thread must
@@ -368,13 +346,7 @@ class SmpssRuntime:
             self._flight = self.health.recorder
             self.health.start()
         self._started = True
-        for idx in range(1, num_threads):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(idx,), name=f"smpss-worker-{idx}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+        self._start_workers("smpss-worker")
         _api.push_runtime(self)
         return self
 
@@ -391,13 +363,7 @@ class SmpssRuntime:
             if run_barrier:
                 self.barrier()
         finally:
-            with self._sched_lock:
-                self._stop = True
-                self._sched_cv.notify_all()
-                self._main_cv.notify_all()
-            for thread in self._threads:
-                thread.join()
-            self._threads.clear()
+            self._stop_workers()
             # After the workers have joined no task is in flight; stop()
             # never raises, so shared memory owned by arenas is unlinked
             # on their own lifecycle, and every child is reaped even
@@ -560,27 +526,6 @@ class SmpssRuntime:
     # ------------------------------------------------------------------
     # execution machinery
     # ------------------------------------------------------------------
-    def _worker_loop(self, idx: int) -> None:
-        cv = self._sched_cv
-        scheduler = self.scheduler
-        while True:
-            task = None
-            with cv:
-                while not self._stop:
-                    if self._failure is None:
-                        task = scheduler.pop(idx)
-                    if task is not None:
-                        self._running += 1
-                        break
-                    self._parked += 1
-                    try:
-                        cv.wait()
-                    finally:
-                        self._parked -= 1
-                if task is None:
-                    return
-            self._execute(task, idx)
-
     def _main_help(self, predicate: Callable[[], bool]) -> None:
         """Run tasks on the main thread while *predicate* holds.
 
@@ -631,30 +576,36 @@ class SmpssRuntime:
 
         return stalled_error(self)
 
-    def _execute(self, task: TaskInstance, thread: int) -> None:
-        executor = self.executor
-        self._current[thread] = task
+    def _begin(self, task: TaskInstance, thread: int) -> bool:
         live = self.live
-        if live is not None and not executor.in_process:
+        if live is not None and not self.executor.in_process:
             # A remote body's start event only ships back with the
             # reply; without this a live dashboard would never see the
             # task leave the queue until it was already done.
             live.notify_dispatch(task, thread)
-        # Expected failures come back as `cause`; anything run() raises
-        # is a master-side bug, which must still surface at the
-        # barrier — a worker thread dying silently would leave
-        # `_running` stuck and hang the main thread forever.
-        try:
-            cause, duration = executor.run(task, thread)
-        except BaseException as exc:  # noqa: BLE001 - reported at barrier
-            cause, duration = exc, 0.0
-        failure = None if cause is None else TaskExecutionError(task, cause)
-        task.executed_by = thread
-        self._current[thread] = None
+        return True
+
+    def _complete(self, task: TaskInstance, thread: int,
+                  cause: Optional[BaseException], duration: float) -> list:
         with self._tracker_lock:
             newly_ready = self.graph.complete(task)
             if self._mem_limit is not None:
                 self.tracker.release_after(task)
+            self.tasks_executed += 1
+            if cause is not None and self._failure is None:
+                # The whole run fails: workers stop popping, and the
+                # main thread re-raises this at its next barrier.
+                self._failure = TaskExecutionError(task, cause)
+            if self._metrics_on:
+                name = task.definition.name
+                hist = self._task_hists.get(name)
+                if hist is None:
+                    hist = self.metrics.histogram(
+                        "task_duration_seconds", task=name
+                    )
+                    self._task_hists[name] = hist
+                hist.observe(duration)
+                self._m_ready_depth.observe(self.scheduler.ready_count)
         flight = self._flight
         if flight is not None:
             # One tuple per completion into the bounded ring, outside
@@ -667,36 +618,7 @@ class SmpssRuntime:
                 task.task_id, task.definition.name, thread,
                 perf_counter(), duration,
             )
-        with self._sched_lock:
-            if self._metrics_on:
-                name = task.definition.name
-                hist = self._task_hists.get(name)
-                if hist is None:
-                    hist = self.metrics.histogram(
-                        "task_duration_seconds", task=name
-                    )
-                    self._task_hists[name] = hist
-                hist.observe(duration)
-                self._m_ready_depth.observe(self.scheduler.ready_count)
-            if newly_ready:
-                self.scheduler.push_ready_batch(newly_ready, thread)
-            self._running -= 1
-            self.tasks_executed += 1
-            if failure is not None and self._failure is None:
-                self._failure = failure
-            # Batched wakeups.  Workers: one notify per released
-            # successor (the completing thread re-pops without sleeping,
-            # so the batch need not over-wake) — or a broadcast on
-            # failure so everyone drains.  Main thread: a single
-            # targeted notify, and only while it is actually sleeping —
-            # its blocking predicates (barrier, graph window, memory
-            # limit, wait_for) can flip on any completion.
-            if self._failure is not None:
-                self._sched_cv.notify_all()
-            elif newly_ready:
-                self._sched_cv.notify(len(newly_ready))
-            if self._main_asleep:
-                self._main_cv.notify()
+        return newly_ready
 
     # ------------------------------------------------------------------
     # introspection

@@ -349,39 +349,14 @@ class SmpssScheduler:
         if self.tracer:
             self.tracer.task_ready(task)
 
-    def push_unlocked(self, task: TaskInstance, thread: int) -> None:
-        """A task whose last dependency was removed by *thread*.
-
-        High-priority tasks are "scheduled as soon as possible
-        independently of any locality consideration", so they go to the
-        global high list; others go to the unlocking thread's own list.
-        """
-
-        task.state = TaskState.READY
-        if task.high_priority:
-            self.high.append(task)
-        else:
-            target = None
-            if self.placement is not None:
-                target = self.placement(task)
-            if target is None:
-                self.locals[thread].append(task)
-            else:
-                self.locals[target].append(task)
-                if target != thread:
-                    self.stats.placed += 1
-        self.stats.pushed_unlocked += 1
-        self._ready_count += 1
-        if self.tracer:
-            self.tracer.task_ready(task, thread)
-
     def push_ready_batch(self, tasks, thread: int) -> None:
         """All tasks released by one completion on *thread*, together.
 
-        Semantically ``push_unlocked`` per task; a single entry point
-        lets the threaded runtime insert a whole completion's worth of
-        unlocked successors under one scheduler-lock acquisition and
-        pairs with its batched ``notify(len(tasks))`` wakeup.
+        Normal-priority tasks go to *thread*'s own list ("tasks whose
+        last input dependency has been removed by that thread") unless
+        the placement hook routes them; high-priority tasks go to the
+        global high list.  One call per completion pairs with the
+        caller's batched ``notify(len(tasks))`` wakeup.
         """
 
         own = self.locals[thread]
@@ -582,19 +557,16 @@ class CentralQueueScheduler:
         if self.tracer:
             self.tracer.task_ready(task)
 
-    def push_unlocked(self, task: TaskInstance, thread: int) -> None:
-        task.state = TaskState.READY
-        (self.high if task.high_priority else self.queue).append(task)
-        self.stats.pushed_unlocked += 1
-        self._ready_count += 1
-        if self.tracer:
-            self.tracer.task_ready(task, thread)
-
     def push_ready_batch(self, tasks, thread: int) -> None:
-        """Interface parity with :meth:`SmpssScheduler.push_ready_batch`."""
+        """Every released task joins the one queue (high list aside)."""
 
         for task in tasks:
-            self.push_unlocked(task, thread)
+            task.state = TaskState.READY
+            (self.high if task.high_priority else self.queue).append(task)
+            self.stats.pushed_unlocked += 1
+            self._ready_count += 1
+            if self.tracer:
+                self.tracer.task_ready(task, thread)
 
     def pop(self, thread: int) -> Optional[TaskInstance]:
         source = self.high if self.high else self.queue

@@ -27,9 +27,9 @@ does.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .dependencies import DependencyTracker, TrackerConfig
+from .dependencies import DependencyTracker
 from .graph import TaskGraph
 
 __all__ = [
@@ -104,9 +104,6 @@ class ShardSet:
     def __len__(self) -> int:
         return len(self._shards)
 
-    def __iter__(self):
-        return iter(self._shards)
-
     def shard_for(self, keys: Iterable[int]) -> TrackerShard:
         """The stripe owning the datum set *keys* (object addresses)."""
 
@@ -140,20 +137,10 @@ class GraphDomain:
     never double-release a task.
     """
 
-    def __init__(
-        self,
-        shard: TrackerShard,
-        *,
-        tracker_config: Optional[TrackerConfig] = None,
-        tracer=None,
-    ):
+    def __init__(self, shard: TrackerShard):
         self.shard = shard
-        self.graph = TaskGraph(keep_finished=False, tracer=tracer)
-        self.tracker = DependencyTracker(
-            self.graph,
-            config=tracker_config or TrackerConfig(),
-            tracer=tracer,
-        )
+        self.graph = TaskGraph(keep_finished=False)
+        self.tracker = DependencyTracker(self.graph)
 
     # ------------------------------------------------------------------
     def analyze_batch(self, tasks) -> list:
@@ -184,7 +171,3 @@ class GraphDomain:
             count = self.tracker.write_back_all()
             self.tracker.reset()
             return count
-
-    @property
-    def renamed_bytes(self) -> int:
-        return self.tracker.renamed_bytes

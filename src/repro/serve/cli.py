@@ -14,6 +14,7 @@ and serves until Ctrl-C.  ``curl http://HOST:PORT/metrics`` and
 from __future__ import annotations
 
 import argparse
+import signal
 
 from .daemon import ServeDaemon
 from .engine import ServiceLimits
@@ -71,13 +72,17 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         limits=limits,
     )
-    print(
-        f"serving task graphs on {daemon.address} "
-        f"({args.workers} {args.backend} workers, {args.shards} shards; "
-        "Ctrl-C to stop)",
-        flush=True,
-    )
+    # A shell script that starts the daemon with `&` hands it SIGINT
+    # ignored; restore Ctrl-C (before the banner a script waits for) so
+    # `kill -INT` still stops it cleanly.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
+        print(
+            f"serving task graphs on {daemon.address} "
+            f"({args.workers} {args.backend} workers, {args.shards} shards; "
+            "Ctrl-C to stop)",
+            flush=True,
+        )
         daemon.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -10,6 +10,11 @@ within a tenant — therefore never contend on one tracker lock; only
 submissions over colliding stripes serialise their analysis, and the
 actual task execution always interleaves freely across the fleet.
 
+Every job's ready tasks go through one §III scheduler and the dispatch
+loop of :class:`repro.core.engine.Engine`, as in the in-process runtime.
+A failed or abandoned job drains through that loop with its bodies
+skipped, so every job ends when its domain has nothing pending.
+
 Admission control implements the paper's §III blocking conditions as
 per-tenant backpressure: where the in-process runtime *blocks* the
 main thread on graph-size or renamed-memory limits, a service must
@@ -26,15 +31,16 @@ with no extra bookkeeping.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
 
 # resolve_call_values is unused here but kept importable under this
 # module's name: perfbench/layers.py patches it in every executor home.
+from ..core.engine import Engine
 from ..core.invocation import plan_for, resolve_call_values  # noqa: F401
 from ..core.runtime import InlineExecutor
+from ..core.scheduler import SmpssScheduler
 from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
 from ..core.transfer import format_remote_error
 from ..obs.metrics import MetricsRegistry
@@ -95,7 +101,7 @@ class GraphJob:
 
     __slots__ = (
         "tenant", "domain", "data", "nbytes", "task_count",
-        "outstanding", "cancelled", "discard", "finalized",
+        "cancelled", "discard", "finalized",
         "error", "results", "seconds", "done", "_callbacks", "_t0",
     )
 
@@ -106,8 +112,7 @@ class GraphJob:
         self.data = data          # datum_id -> server-side object
         self.nbytes = nbytes
         self.task_count = task_count
-        self.outstanding = 0      # tasks queued-or-running
-        self.cancelled = False
+        self.cancelled = False    # failed or abandoned: skip its bodies
         self.discard = False      # client gone; drop the results
         self.finalized = False
         self.error: Optional[dict] = None
@@ -124,8 +129,8 @@ class GraphJob:
             self._callbacks.append(fn)
 
 
-class ServeEngine:
-    """W workers, one ready queue, S tracker-lock stripes."""
+class ServeEngine(Engine):
+    """W workers, one §III scheduler, S tracker-lock stripes."""
 
     def __init__(
         self,
@@ -137,6 +142,7 @@ class ServeEngine:
     ):
         if backend not in ("threads", "processes"):
             raise ValueError(f"unknown backend {backend!r}")
+        super().__init__()
         self.limits = limits or ServiceLimits()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.backend = backend
@@ -145,10 +151,8 @@ class ServeEngine:
         self._definitions: dict[tuple, object] = {}
         self._tenants: dict[str, _TenantState] = {}
         self._jobs: set[GraphJob] = set()
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._queue: deque = deque()
-        self._stop = False
+        #: The job each submitted, not yet completed task belongs to.
+        self._job_of: dict = {}
         self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
         self.metrics.gauge("serve.workers").set(workers)
         self.metrics.gauge("serve.shards").set(shards)
@@ -159,36 +163,26 @@ class ServeEngine:
         else:
             self.executor = InlineExecutor(workers, threading.local())
         self.executor.start()
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, args=(i,),
-                name=f"repro-serve-worker-{i}", daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        # Slot 0 is the runtime's main thread; the service has none.
+        self._reset_dispatch(SmpssScheduler(workers + 1))
+        self._start_workers("repro-serve-worker")
 
     # ------------------------------------------------------------------
     # tenants
     # ------------------------------------------------------------------
     def tenant(self, name: str) -> _TenantState:
-        with self._lock:
+        with self._sched_lock:
             state = self._tenants.get(name)
             if state is None:
                 state = _TenantState(name, self.metrics)
                 self._tenants[name] = state
             return state
 
-    def tenant_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
-
     def reject(self, tenant_name: str, exc: GraphRejected) -> GraphRejected:
         """Record one shed submission in the tenant's metrics."""
 
         state = self.tenant(tenant_name)
-        with self._lock:
+        with self._sched_lock:
             state.rejections += 1
         self.metrics.counter(
             "serve.graphs_rejected", tenant=tenant_name, reason=exc.code
@@ -224,7 +218,7 @@ class ServeEngine:
         nbytes = sum(
             (len(p.get("b64", "")) * 3) // 4 for p in data_specs.values()
         )
-        with self._lock:
+        with self._sched_lock:
             if self._stop:
                 raise ServeError("engine is shut down")
             if tenant.inflight >= limits.max_inflight:
@@ -270,7 +264,7 @@ class ServeEngine:
                 for task_spec in task_specs
             ]
         except Exception:
-            with self._lock:
+            with self._sched_lock:
                 tenant.inflight -= 1
                 tenant.bytes_held -= nbytes
                 tenant.m_inflight.set(tenant.inflight)
@@ -283,17 +277,22 @@ class ServeEngine:
         job = GraphJob(tenant, domain, data, nbytes, len(tasks))
         tenant.m_submitted.inc()
         ready = domain.analyze_batch(tasks)
-        finalize = False
-        with self._cv:
-            self._jobs.add(job)
-            if not tasks:
-                job.finalized = finalize = True
+        scheduler = self.scheduler
+        with self._sched_lock:
+            # Re-checked here: a shutdown since admission has stopped
+            # the workers and failed the jobs it knew of.
+            if self._stop:
+                self._fail_for_shutdown(job)
+            elif tasks:
+                self._jobs.add(job)
+                self._job_of.update(dict.fromkeys(tasks, job))
+                for task in ready:
+                    scheduler.push_new(task)
+                self._sched_cv.notify(len(ready))
+                self._m_queue_depth.set(scheduler.ready_count)
             else:
-                job.outstanding = len(ready)
-                self._queue.extend((job, task) for task in ready)
-                self._m_queue_depth.set(len(self._queue))
-                self._cv.notify(len(ready))
-        if finalize:
+                job.finalized = True
+        if job.finalized:
             self._finalize(job)
         return job
 
@@ -328,61 +327,37 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _worker_loop(self, idx: int) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stop:
-                    self._cv.wait()
-                if self._stop:
-                    return
-                job, task = self._queue.popleft()
-                self._m_queue_depth.set(len(self._queue))
-                skip = job.cancelled
-            failure: Optional[BaseException] = None
-            if not skip:
-                try:
-                    failure, _duration = self.executor.run(task, idx + 1)
-                except BaseException as exc:  # noqa: BLE001
-                    failure = exc
-            self._task_done(job, task, failure=failure, skipped=skip)
+    def _begin(self, task, thread: int) -> bool:
+        return not self._job_of[task].cancelled
 
-    def _task_done(self, job: GraphJob, task, failure, skipped: bool) -> None:
-        newly_ready: list = []
-        pending = -1
-        if failure is not None and job.error is None:
-            exc_type, message, remote_traceback = format_remote_error(failure)
-            job.error = {
-                "code": "task_failed",
-                "message": (
-                    f"task {task.definition.name!r} raised "
-                    f"{exc_type}: {message}"
-                ),
-                "task": task.definition.name,
-                "traceback": remote_traceback,
-            }
-        elif not skipped:
+    def _complete(self, task, thread: int, cause, duration: float) -> list:
+        job = self._job_of.pop(task)
+        if cause is not None:
+            if job.error is None:
+                exc_type, message, remote_traceback = format_remote_error(
+                    cause)
+                job.error = {
+                    "code": "task_failed",
+                    "message": (
+                        f"task {task.definition.name!r} raised "
+                        f"{exc_type}: {message}"
+                    ),
+                    "task": task.definition.name,
+                    "traceback": remote_traceback,
+                }
+            # Only this job fails; its queued tasks are skipped.
+            job.cancelled = True
+        elif not job.cancelled:
             job.tenant.m_tasks.inc()
-            newly_ready, pending = job.domain.complete(task)
-        finalize = False
-        with self._cv:
-            if failure is not None or self._stop:
-                # A stopping engine has no workers left to run the
-                # successors this completion would release.
-                job.cancelled = True
-            job.outstanding -= 1
-            if newly_ready and not job.cancelled:
-                job.outstanding += len(newly_ready)
-                self._queue.extend((job, t) for t in newly_ready)
-                self._m_queue_depth.set(len(self._queue))
-                self._cv.notify(len(newly_ready))
-            if not job.finalized:
-                if job.cancelled:
-                    finalize = job.outstanding == 0
-                else:
-                    finalize = pending == 0
-                job.finalized = job.finalized or finalize
-        if finalize:
-            self._finalize(job)
+        newly_ready, pending = job.domain.complete(task)
+        self._m_queue_depth.set(self.scheduler.ready_count)
+        if pending == 0:
+            with self._sched_lock:
+                finalize = not job.finalized
+                job.finalized = True
+            if finalize:
+                self._finalize(job)
+        return newly_ready
 
     def _finalize(self, job: GraphJob) -> None:
         tenant = job.tenant
@@ -404,7 +379,7 @@ class ServeEngine:
         job.seconds = perf_counter() - job._t0
         tenant.m_seconds.observe(job.seconds)
         self.shards.release(job.domain.shard)
-        with self._lock:
+        with self._sched_lock:
             tenant.inflight -= 1
             tenant.bytes_held -= job.nbytes
             tenant.m_inflight.set(tenant.inflight)
@@ -430,42 +405,35 @@ class ServeEngine:
         tenant's shard state — is released at finalize as usual.
         """
 
-        finalize = False
-        with self._cv:
-            job.cancelled = True
-            job.discard = True
-            if not job.finalized and job.outstanding == 0:
-                job.finalized = finalize = True
-        if finalize:
-            self._finalize(job)
+        job.discard = True
+        job.cancelled = True
+
+    @staticmethod
+    def _fail_for_shutdown(job: GraphJob) -> None:
+        """Scheduler lock held: end *job*; the caller finalizes it."""
+
+        job.cancelled = job.finalized = True
+        job.error = job.error or {
+            "code": "shutdown",
+            "message": "engine shut down before the graph finished",
+        }
 
     def shutdown(self) -> None:
-        with self._cv:
-            self._stop = True
-            leftovers = list(self._queue)
-            self._queue.clear()
-            self._cv.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=10.0)
+        self._stop_workers(timeout=10.0)
         self.executor.stop()
-        # Fail whatever never ran so no waiter hangs on a dead fleet.
-        for job, _task in leftovers:
-            with self._cv:
-                if job.finalized:
-                    continue
-                job.cancelled = True
-                job.error = job.error or {
-                    "code": "shutdown",
-                    "message": "engine shut down before the graph ran",
-                }
-                job.finalized = True
+        # Fail whatever never finished so no waiter hangs on a dead fleet.
+        with self._sched_lock:
+            stranded = [job for job in self._jobs if not job.finalized]
+            for job in stranded:
+                self._fail_for_shutdown(job)
+        for job in stranded:
             self._finalize(job)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def state(self) -> dict:
-        with self._lock:
+        with self._sched_lock:
             tenants = {
                 name: {
                     "inflight": t.inflight,
@@ -475,7 +443,7 @@ class ServeEngine:
                 }
                 for name, t in sorted(self._tenants.items())
             }
-            queue_depth = len(self._queue)
+            queue_depth = self.scheduler.ready_count
         return {
             "workers": self.num_workers,
             "backend": self.backend,

@@ -173,9 +173,7 @@ class VirtualMachine:
         self.now = finish
         task.executed_by = core
         self.last_finish = max(self.last_finish, finish)
-        newly_ready = self.graph.complete(task)
-        for succ in newly_ready:
-            self.scheduler.push_unlocked(succ, core)
+        self.scheduler.push_ready_batch(self.graph.complete(task), core)
         self.tasks_executed += 1
         if self.tracer:
             self.tracer.task_end(task, core)

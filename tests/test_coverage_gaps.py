@@ -114,8 +114,8 @@ class TestSchedulerEdgeBehaviour:
         s = SmpssScheduler(num_threads=2)
         mine = TaskInstance(definition=defn, accesses=[], arguments={})
         yours = TaskInstance(definition=defn, accesses=[], arguments={})
-        s.push_unlocked(mine, 0)
-        s.push_unlocked(yours, 1)
+        s.push_ready_batch([mine], 0)
+        s.push_ready_batch([yours], 1)
         got0 = s.pop(0)
         got1 = s.pop(1)
         assert {got0, got1} == {mine, yours}

@@ -123,8 +123,8 @@ class TestHotStealAblation:
         s = HotStealScheduler(num_threads=2)
         a = TaskInstance(definition=defn, accesses=[], arguments={})
         b = TaskInstance(definition=defn, accesses=[], arguments={})
-        s.push_unlocked(a, thread=1)
-        s.push_unlocked(b, thread=1)
+        s.push_ready_batch([a], 1)
+        s.push_ready_batch([b], 1)
         assert s.pop(0) is b  # hot end — the opposite of SmpssScheduler
         assert s.stats.steals == 1
 

@@ -193,7 +193,7 @@ class TestSchedulerStatsSatellite:
         assert s.stats.failed_pops_by_thread[2] == 1
         # Steal: task pushed to thread 1's list, popped by thread 3.
         task = TaskInstance(definition=defn, accesses=[], arguments={})
-        s.push_unlocked(task, thread=1)
+        s.push_ready_batch([task], 1)
         assert s.pop(3) is task
         assert s.stats.steals == 1
         assert s.stats.steals_by_thief[3] == 1

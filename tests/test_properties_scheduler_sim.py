@@ -56,7 +56,7 @@ def test_scheduler_conservation(factory, ops):
             pushed.add(task.task_id)
         elif op[0] == "unlock":
             task = make_task()
-            scheduler.push_unlocked(task, thread=op[1])
+            scheduler.push_ready_batch([task], op[1])
             pushed.add(task.task_id)
         else:
             task = scheduler.pop(op[1])
@@ -86,7 +86,7 @@ def test_high_priority_always_first(unlocking_threads):
     reset_task_ids()
     scheduler = SmpssScheduler(num_threads=4)
     for thread in unlocking_threads:
-        scheduler.push_unlocked(make_task(), thread)
+        scheduler.push_ready_batch([make_task()], thread)
     hp = make_task(hp=True)
     scheduler.push_new(hp)
     assert scheduler.pop(2) is hp

@@ -52,7 +52,7 @@ class TestHighPriority:
     def test_high_priority_beats_own_list(self):
         s = SmpssScheduler(num_threads=2)
         own = task("own")
-        s.push_unlocked(own, thread=1)
+        s.push_ready_batch([own], 1)
         hp = task("h", hp=True)
         s.push_new(hp)
         assert s.pop(1) is hp
@@ -60,7 +60,7 @@ class TestHighPriority:
     def test_unlocked_high_priority_goes_global(self):
         s = SmpssScheduler(num_threads=3)
         hp = task("h", hp=True)
-        s.push_unlocked(hp, thread=2)
+        s.push_ready_batch([hp], 2)
         # Any thread sees it first, not just thread 2.
         assert s.pop(1) is hp
 
@@ -72,7 +72,7 @@ class TestOwnListLifo:
         s = SmpssScheduler(num_threads=2)
         a, b, c = task("a"), task("b"), task("c")
         for t in (a, b, c):
-            s.push_unlocked(t, thread=1)
+            s.push_ready_batch([t], 1)
         assert s.pop(1) is c
         assert s.pop(1) is b
         assert s.pop(1) is a
@@ -82,7 +82,7 @@ class TestOwnListLifo:
         main_task = task("main")
         own_task = task("own")
         s.push_new(main_task)
-        s.push_unlocked(own_task, thread=1)
+        s.push_ready_batch([own_task], 1)
         assert s.pop(1) is own_task
 
 
@@ -92,8 +92,8 @@ class TestStealing:
 
         s = SmpssScheduler(num_threads=2)
         a, b = task("a"), task("b")
-        s.push_unlocked(a, thread=1)
-        s.push_unlocked(b, thread=1)
+        s.push_ready_batch([a], 1)
+        s.push_ready_batch([b], 1)
         assert s.pop(0) is a  # stolen: FIFO end (victim pops LIFO end)
         assert s.stats.steals == 1
 
@@ -103,8 +103,8 @@ class TestStealing:
 
         s = SmpssScheduler(num_threads=4)
         v2, v3 = task("v2"), task("v3")
-        s.push_unlocked(v2, thread=2)
-        s.push_unlocked(v3, thread=3)
+        s.push_ready_batch([v2], 2)
+        s.push_ready_batch([v3], 3)
         # Thread 1 starts its scan at thread 2.
         assert s.pop(1) is v2
         # Thread 1 again: thread 2 empty now, wraps to 3.
@@ -113,13 +113,13 @@ class TestStealing:
     def test_steal_wraps_around(self):
         s = SmpssScheduler(num_threads=3)
         v0 = task("v0")
-        s.push_unlocked(v0, thread=0)
+        s.push_ready_batch([v0], 0)
         assert s.pop(2) is v0  # 2 -> scan 0, 1
 
     def test_no_self_steal_double_pop(self):
         s = SmpssScheduler(num_threads=2)
         a = task("a")
-        s.push_unlocked(a, thread=1)
+        s.push_ready_batch([a], 1)
         assert s.pop(1) is a
         assert s.pop(1) is None
 
@@ -154,8 +154,8 @@ class TestCentralQueue:
     def test_global_fifo(self):
         s = CentralQueueScheduler(num_threads=4)
         a, b = task("a"), task("b")
-        s.push_unlocked(a, thread=2)
-        s.push_unlocked(b, thread=3)
+        s.push_ready_batch([a], 2)
+        s.push_ready_batch([b], 3)
         # No per-thread affinity: everyone sees FIFO order.
         assert s.pop(1) is a
         assert s.pop(2) is b

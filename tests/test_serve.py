@@ -17,9 +17,14 @@ These tests pin, bottom-up:
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,20 @@ _GATE = threading.Event()
 def gated_bump_t(a):
     _GATE.wait(10.0)
     a += 1.0
+
+
+#: Start order (each datum's first value) in the dispatch-order test.
+_STARTED: list = []
+
+
+@css_task("inout(a)")
+def note_start_t(a):
+    _STARTED.append(int(a[0]))
+
+
+@css_task("inout(a) highpriority")
+def note_start_hp_t(a):
+    _STARTED.append(int(a[0]))
 
 
 @pytest.fixture
@@ -541,6 +560,141 @@ class TestAdmissionControl:
             bump_t(a)
             rt.barrier()
         assert (a == 1.0).all()
+
+
+# ---------------------------------------------------------------------------
+# dispatch: the §III scheduler and a clean shutdown
+# ---------------------------------------------------------------------------
+
+class TestEngineDispatch:
+    def test_high_priority_task_runs_first(self):
+        """The service pops through the §III policy: a ready
+        high-priority task goes before normal ones submitted ahead of
+        it (a FIFO queue would run it last)."""
+
+        engine = ServeEngine(workers=1, shards=2)
+        _STARTED.clear()
+        arrays = {f"d{i}": np.full(1, float(i)) for i in range(5)}
+        spec = {
+            "tasks": [
+                {
+                    "def": sp.definition_ref(
+                        (note_start_hp_t if i == 4 else note_start_t)
+                        .definition),
+                    "args": [{"d": f"d{i}"}],
+                }
+                for i in range(5)
+            ],
+            "data": {k: sp.encode_datum(v) for k, v in arrays.items()},
+        }
+        try:
+            job = engine.submit_graph("prio", spec)
+            assert job.done.wait(10.0) and job.error is None
+            assert sorted(_STARTED) == [0, 1, 2, 3, 4]
+            assert _STARTED[0] == 4, _STARTED
+        finally:
+            engine.shutdown()
+
+    def test_concurrent_graphs_stress(self):
+        """More workers than cores, a short switch interval, and graphs
+        from several threads at once: every chain runs each task
+        exactly once, and every tenant drains."""
+
+        engine = ServeEngine(workers=4, shards=2,
+                             limits=ServiceLimits(max_inflight=64))
+        chain, per_thread, threads = 12, 6, 4
+        spec = {
+            "tasks": [
+                {"def": sp.definition_ref(bump_t.definition),
+                 "args": [{"d": "d0"}]}
+                for _ in range(chain)
+            ] + [
+                {"def": sp.definition_ref(copy_t.definition),
+                 "args": [{"d": "d0"}, {"d": f"d{i}"}]}
+                for i in range(1, 4)
+            ],
+            "data": {f"d{i}": sp.encode_datum(np.zeros(3)) for i in range(4)},
+        }
+        jobs, errors = [], []
+
+        def submit(idx):
+            try:
+                for _ in range(per_thread):
+                    jobs.append(engine.submit_graph(f"s{idx}", dict(spec)))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            submitters = [threading.Thread(target=submit, args=(i,))
+                          for i in range(threads)]
+            for t in submitters:
+                t.start()
+            for t in submitters:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert not errors, errors
+            assert len(jobs) == threads * per_thread
+            for job in jobs:
+                assert job.done.wait(30.0) and job.error is None
+                for datum_id in ("d0", "d1", "d2", "d3"):
+                    got = sp.decode_datum(job.results[datum_id])
+                    assert (got == float(chain)).all(), (datum_id, got)
+            for idx in range(threads):
+                tenant = _drain_tenant(engine, f"s{idx}")
+                assert tenant["graphs"] == per_thread
+            assert engine.state()["queue_depth"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            engine.shutdown()
+
+    def test_shutdown_during_submission_fails_the_job(self, monkeypatch):
+        """A shutdown landing between admission and enqueue must still
+        end the job: done set, a structured error, the tenant drained."""
+
+        engine = ServeEngine(workers=1, shards=2)
+        analyze_batch = GraphDomain.analyze_batch
+
+        def shut_then_analyze(domain, tasks):
+            engine.shutdown()
+            return analyze_batch(domain, tasks)
+
+        monkeypatch.setattr(GraphDomain, "analyze_batch", shut_then_analyze)
+        spec = {
+            "tasks": [{
+                "def": sp.definition_ref(bump_t.definition),
+                "args": [{"d": "d0"}],
+            }],
+            "data": {"d0": sp.encode_datum(np.zeros(2))},
+        }
+        job = engine.submit_graph("late", spec)
+        assert job.done.wait(5.0)
+        assert job.error["code"] == "shutdown"
+        tenant = engine.state()["tenants"]["late"]
+        assert tenant["inflight"] == 0 and tenant["bytes_held"] == 0
+
+    def test_cli_daemon_stops_on_sigint_in_background(self):
+        """A script starts the daemon with ``&``, where a non-interactive
+        shell ignores SIGINT; ``kill -INT`` must still stop it."""
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "tcp:127.0.0.1:0",
+             "--workers", "1", "--shards", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert b"serving task graphs" in proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------
